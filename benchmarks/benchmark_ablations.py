@@ -24,7 +24,7 @@ from repro.technology.corners import ProcessCorner
 from repro.technology.variation import InterDieDistribution
 
 
-def test_ablation_bias_levels(benchmark, ctx, save_result):
+def test_ablation_bias_levels(ctx, save_result):
     """3-bin (paper) vs 5-bin adaptive body bias.
 
     A finer generator adds +/-0.2 V intermediate levels and picks, per
@@ -67,14 +67,14 @@ def test_ablation_bias_levels(benchmark, ctx, save_result):
             data.append((y3, y5, ym))
         return rows, data
 
-    rows, data = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, data = run()
     save_result("ablation_bias_levels", rows)
     for y3, y5, ym in data:
         assert y5 >= y3 - 0.01      # more levels never hurt the oracle
         assert ym <= y3 + 0.02      # the 3-bin monitor ~ the 3-bin oracle
 
 
-def test_ablation_march_choice(benchmark, ctx, save_result):
+def test_ablation_march_choice(ctx, save_result):
     """MATS+ vs March X vs March C- for the ASB calibration.
 
     All three catch the retention faults (the dwell dominates), so the
@@ -105,12 +105,12 @@ def test_ablation_march_choice(benchmark, ctx, save_result):
             selected.append(result.vsb_adaptive)
         return rows, selected
 
-    rows, selected = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, selected = run()
     save_result("ablation_march_choice", rows)
     assert max(selected) - min(selected) <= 0.011  # within ~2 DAC steps
 
 
-def test_ablation_monitor_offset(benchmark, ctx, save_result):
+def test_ablation_monitor_offset(ctx, save_result):
     """Comparator offset sensitivity of the corner binning.
 
     Sweeps an input-referred comparator offset and reports the corner
@@ -151,13 +151,13 @@ def test_ablation_monitor_offset(benchmark, ctx, save_result):
             widths.append(width)
         return rows, widths
 
-    rows, widths = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, widths = run()
     save_result("ablation_monitor_offset", rows)
     assert widths[0] == 0.0
     assert widths[1] < 10.0  # a 2% offset moves the bins by < 10 mV
 
 
-def test_ablation_importance_sampling(benchmark, ctx, save_result):
+def test_ablation_importance_sampling(ctx, save_result):
     """IS accuracy: sigma-scaled estimates vs plain Monte Carlo.
 
     At a moderately failing corner both estimators resolve the same
@@ -190,7 +190,7 @@ def test_ablation_importance_sampling(benchmark, ctx, save_result):
         ]
         return rows, plain, weighted
 
-    rows, plain, weighted = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, plain, weighted = run()
     save_result("ablation_importance_sampling", rows)
     assert weighted.within(plain, n_sigma=4.0)
     assert weighted.estimate > 0

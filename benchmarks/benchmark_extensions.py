@@ -11,20 +11,16 @@ import numpy as np
 from repro.experiments import extensions
 
 
-def test_ext_delay(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_delay(ctx), rounds=1, iterations=1
-    )
+def test_ext_delay(ctx, save_result):
+    result = extensions.ext_delay(ctx)
     save_result("ext_delay", result.rows())
     assert result.decisions["leakage"] == result.decisions["delay"]
     assert result.hot_decisions["leakage"] == "low_vt"
     assert result.hot_decisions["combined"] != "low_vt"
 
 
-def test_ext_drv(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_drv(ctx), rounds=1, iterations=1
-    )
+def test_ext_drv(ctx, save_result):
+    result = extensions.ext_drv(ctx)
     save_result("ext_drv", result.rows())
     drv = result.cell_drv[0.0]
     # The retention floor sits far below the nominal supply...
@@ -34,10 +30,8 @@ def test_ext_drv(benchmark, ctx, save_result):
     assert result.safe_voltage < 1.0
 
 
-def test_ext_performance(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_performance(ctx), rounds=1, iterations=1
-    )
+def test_ext_performance(ctx, save_result):
+    result = extensions.ext_performance(ctx)
     save_result("ext_performance", result.rows())
     # FBB recovers a measurable slice of the slow-corner access time.
     recovery = 1.0 - result.t_access_repaired[-1] / result.t_access_zbb[-1]
@@ -46,10 +40,8 @@ def test_ext_performance(benchmark, ctx, save_result):
     assert result.t_access_repaired[0] > result.t_access_zbb[0]
 
 
-def test_ext_temperature(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_temperature(ctx), rounds=1, iterations=1
-    )
+def test_ext_temperature(ctx, save_result):
+    result = extensions.ext_temperature(ctx)
     save_result("ext_temperature", result.rows())
     # Roughly an order of magnitude of leakage from 0C to 85C.
     assert result.mean_cell_leakage[-1] > 8 * result.mean_cell_leakage[0]
@@ -57,10 +49,8 @@ def test_ext_temperature(benchmark, ctx, save_result):
     assert result.leakage_bin[-1] == "low_vt"
 
 
-def test_ext_ecc(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_ecc(ctx), rounds=1, iterations=1
-    )
+def test_ext_ecc(ctx, save_result):
+    result = extensions.ext_ecc(ctx)
     save_result("ext_ecc", result.rows())
     mid = len(result.shifts) // 2
     # At equal overhead: redundancy beats ECC for hard parametric faults.
@@ -70,20 +60,16 @@ def test_ext_ecc(benchmark, ctx, save_result):
     assert result.p_repair_plus_redundancy[0] < result.p_redundancy[0]
 
 
-def test_ext_snm(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_snm(ctx), rounds=1, iterations=1
-    )
+def test_ext_snm(ctx, save_result):
+    result = extensions.ext_snm(ctx)
     save_result("ext_snm", result.rows())
     # RBB widens, FBB narrows the read butterfly (Fig. 2b in margins).
     assert np.all(np.diff(result.read_mean) < 0)
     assert np.all(result.hold_mean > result.read_mean)
 
 
-def test_ext_8t(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: extensions.ext_8t(ctx), rounds=1, iterations=1
-    )
+def test_ext_8t(ctx, save_result):
+    result = extensions.ext_8t(ctx)
     save_result("ext_8t", result.rows())
     mid = len(result.shifts) // 2
     # The 8T removes the 6T's low-Vt read wall...

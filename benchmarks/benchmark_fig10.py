@@ -13,12 +13,9 @@ import numpy as np
 from repro.experiments import asb
 
 
-def test_fig10(benchmark, ctx, save_result):
+def test_fig10(ctx, save_result):
     sigmas = np.linspace(0.02, 0.08, 7)
-    result = benchmark.pedantic(
-        lambda: asb.fig10(ctx, sigmas=sigmas),
-        rounds=1, iterations=1,
-    )
+    result = asb.fig10(ctx, sigmas=sigmas)
     save_result("fig10", result.rows())
 
     ly, hy = result.leakage_yield, result.hold_yield

@@ -11,11 +11,8 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig2a(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: repair.fig2a(ctx, shifts=np.linspace(-0.12, 0.12, 13)),
-        rounds=1, iterations=1,
-    )
+def test_fig2a(ctx, save_result):
+    result = repair.fig2a(ctx, shifts=np.linspace(-0.12, 0.12, 13))
     save_result("fig2a", result.rows())
 
     p = result.probabilities

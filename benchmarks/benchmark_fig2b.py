@@ -10,12 +10,9 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig2b(benchmark, ctx, save_result):
+def test_fig2b(ctx, save_result):
     vbody = np.linspace(-0.5, 0.5, 11)
-    result = benchmark.pedantic(
-        lambda: repair.fig2b(ctx, vbody=vbody),
-        rounds=1, iterations=1,
-    )
+    result = repair.fig2b(ctx, vbody=vbody)
     save_result("fig2b", result.rows())
 
     p = result.probabilities

@@ -10,12 +10,9 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig2c(benchmark, ctx, save_result):
+def test_fig2c(ctx, save_result):
     sigmas = np.linspace(0.02, 0.08, 7)
-    result = benchmark.pedantic(
-        lambda: repair.fig2c(ctx, sigmas=sigmas, sizes_kbytes=(64, 256)),
-        rounds=1, iterations=1,
-    )
+    result = repair.fig2c(ctx, sigmas=sigmas, sizes_kbytes=(64, 256))
     save_result("fig2c", result.rows())
 
     for kbytes in (64, 256):

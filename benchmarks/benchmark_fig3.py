@@ -9,11 +9,8 @@ justification for array-level leakage monitoring.
 from repro.experiments import repair
 
 
-def test_fig3(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: repair.fig3(ctx, n_cell_samples=30_000, n_arrays=300),
-        rounds=1, iterations=1,
-    )
+def test_fig3(ctx, save_result):
+    result = repair.fig3(ctx, n_cell_samples=30_000, n_arrays=300)
     save_result("fig3", result.rows())
 
     # Cells: a solid fraction of the nominal population is

@@ -10,12 +10,9 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig4b(benchmark, ctx, save_result):
+def test_fig4b(ctx, save_result):
     shifts = np.linspace(-0.1, 0.1, 9)
-    result = benchmark.pedantic(
-        lambda: repair.fig4b(ctx, shifts=shifts, memory_kbytes=256),
-        rounds=1, iterations=1,
-    )
+    result = repair.fig4b(ctx, shifts=shifts, memory_kbytes=256)
     save_result("fig4b", result.rows())
 
     # Huge reduction at the extremes (paper's bars collapse).

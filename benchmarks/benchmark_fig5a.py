@@ -11,10 +11,8 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig5a(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: repair.fig5a(ctx), rounds=1, iterations=1
-    )
+def test_fig5a(ctx, save_result):
+    result = repair.fig5a(ctx)
     save_result("fig5a", result.rows())
 
     sub, gate, junction = result.subthreshold, result.gate, result.junction

@@ -7,11 +7,8 @@ die-to-die leakage distribution toward the nominal corner.
 from repro.experiments import repair
 
 
-def test_fig5b(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: repair.fig5b(ctx, sigma_inter=0.05, n_dies=400),
-        rounds=1, iterations=1,
-    )
+def test_fig5b(ctx, save_result):
+    result = repair.fig5b(ctx, sigma_inter=0.05, n_dies=400)
     save_result("fig5b", result.rows())
 
     # The spread compression is substantial.

@@ -9,12 +9,9 @@ import numpy as np
 from repro.experiments import repair
 
 
-def test_fig5c(benchmark, ctx, save_result):
+def test_fig5c(ctx, save_result):
     sigmas = np.linspace(0.02, 0.08, 7)
-    result = benchmark.pedantic(
-        lambda: repair.fig5c(ctx, sigmas=sigmas, memory_kbytes=64),
-        rounds=1, iterations=1,
-    )
+    result = repair.fig5c(ctx, sigmas=sigmas, memory_kbytes=64)
     save_result("fig5c", result.rows())
 
     # ZBB leakage yield falls with sigma.

@@ -11,10 +11,8 @@ import numpy as np
 from repro.experiments import asb
 
 
-def test_fig8(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: asb.fig8(ctx), rounds=1, iterations=1
-    )
+def test_fig8(ctx, save_result):
+    result = asb.fig8(ctx)
     save_result("fig8", result.rows())
 
     # The statistical adaptive bias is within the DAC span and equals

@@ -13,11 +13,8 @@ import pytest
 from repro.experiments import asb
 
 
-def test_fig9(benchmark, ctx, save_result):
-    result = benchmark.pedantic(
-        lambda: asb.fig9(ctx, n_bist_dies=12, n_power_dies=400),
-        rounds=1, iterations=1,
-    )
+def test_fig9(ctx, save_result):
+    result = asb.fig9(ctx, n_bist_dies=12, n_power_dies=400)
     save_result("fig9", result.rows())
 
     # (a) per-corner adaptive spread: a couple of DAC steps at most.

@@ -13,7 +13,7 @@ from repro.core.lot import LotSimulator
 from repro.experiments.asb import default_asb_organization, hold_table
 
 
-def test_lot_flow(benchmark, ctx, save_result):
+def test_lot_flow(ctx, save_result):
     organization = default_asb_organization()
     pipeline = SelfRepairingSRAM(
         ctx.analyzer(),
@@ -24,10 +24,7 @@ def test_lot_flow(benchmark, ctx, save_result):
     )
     simulator = LotSimulator(pipeline, hold_table(ctx))
 
-    def run():
-        return simulator.run(n_dies=300, sigma_inter=0.05, seed=17)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = simulator.run(n_dies=300, sigma_inter=0.05, seed=17)
     rows = report.rows()
     # Per-bin shipped power for the report.
     for bin_name in ("low_vt", "nominal", "high_vt"):

@@ -5,7 +5,7 @@ full-accuracy context, asserts the figure's qualitative shape (who
 wins, where the bathtub bottoms out, by roughly what factor), prints
 the series, and writes it to ``benchmarks/results/<fig>.txt``.
 
-Run with:  pytest benchmarks/ --benchmark-only -s
+Run with:  pytest benchmarks/ -s
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Corruption-proof persistence: atomic, checksummed JSON envelopes.
 
 Every durable artifact in the stack (result-cache entries, persisted
-criteria/tables, checkpoints, benchmark-history records) goes through
+criteria/tables, checkpoints, the service's job ledger) goes through
 this module, which supplies the three guarantees a killed process or a
 torn disk write must not violate:
 

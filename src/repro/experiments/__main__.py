@@ -28,7 +28,7 @@ to a numbered sibling (``m.1.json``) with a warning unless
 ``--metrics-overwrite`` is passed.  ``--profile-out FILE``
 additionally runs the experiment under cProfile scoped to its trace
 span and writes a ``pstats``-loadable stats file, for localising a
-regression to a function (see ``docs/benchmarking.md``).
+regression to a function (see ``docs/observability.md``).
 ``--trace-out FILE`` records a bounded span timeline (merged across
 workers) and writes Chrome trace-event JSON for Perfetto /
 ``chrome://tracing`` flamegraphs.

@@ -1,6 +1,6 @@
 """Environment fingerprinting for self-describing telemetry.
 
-A stored telemetry report or benchmark record is only longitudinal
+A stored telemetry report is only longitudinal
 data if it says *where it came from*: the code revision, interpreter,
 numerical stack and hardware width it was measured on.
 :func:`environment_fingerprint` gathers exactly that, cheaply and
@@ -9,8 +9,7 @@ degrades the SHA to ``None``, never to an exception, so the telemetry
 path can never fail a run.
 
 Consumed by the ``meta`` block of the ``--metrics-out`` report
-(``python -m repro.experiments``) and the ``environment`` block of
-every ``repro.bench`` history record (see ``docs/benchmarking.md``).
+(``python -m repro.experiments``; see ``docs/observability.md``).
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class ResultCache:
 
     Attributes:
         hits / misses: lookup counters for this instance (diagnostic;
-            the warm/cold benchmark asserts on them).
+            the warm/cold cache tests assert on them).
         quarantined: corrupt entries moved aside by this instance.
     """
 

@@ -15,8 +15,8 @@ things:
   post-hoc status query cannot reconstruct.
 
 Capacity is a hard bound: the oldest event is evicted on overflow and
-``service.events_dropped`` counts the loss (the bench ``service``
-workload gates on it staying zero under the standard burst).  Sequence
+``service.events_dropped`` counts the loss (the warm-burst test in
+``tests/test_service.py`` holds it at zero under the standard burst).  Sequence
 numbers are global, monotonically increasing from 1, and never reused,
 so a resuming client can always tell replay from gap.
 """

@@ -8,10 +8,10 @@ path: duplicate submissions (which must dedupe, not recompute) and
 repeated result ``GET``\\ s (which must come back at in-memory
 latency).  Client-side
 latencies land in the ``service.client_submit_seconds`` /
-``service.client_result_seconds`` histograms so the bench workload can
-gate the warm p95.
+``service.client_result_seconds`` histograms so a caller can check the
+warm p95.
 
-Library use (the ``service`` bench workload)::
+Library use (the warm-burst test in ``tests/test_service.py``)::
 
     from repro.service.loadgen import run_load
     stats = run_load(base_url, spec, duplicates=20, result_gets=50)
@@ -512,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     counters = summary["healthz"]["telemetry"]["metrics"]["counters"]
     # CLI-only assertion: against a freshly-booted server (the CI
     # smoke), the burst must leave at least one completed job behind.
-    # The library path skips this — a bench repeat resets counters
-    # between the untimed cold build and the timed warm burst.
+    # The library path skips this — a caller may reset counters
+    # between the cold build and the warm burst.
     if counters.get("service.jobs_completed", 0) < 1:
         print("FAIL: server reports zero completed jobs", file=sys.stderr)
         return 1

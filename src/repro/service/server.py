@@ -657,7 +657,7 @@ class ServiceServer:
 class BackgroundServer:
     """A :class:`ServiceServer` on its own thread + event loop.
 
-    For tests and the bench/load-generator: ``start()`` returns once
+    For tests and the load generator: ``start()`` returns once
     the socket is bound (so ``base_url`` is immediately usable from the
     calling thread) and ``stop()`` tears the loop down cleanly.
     """

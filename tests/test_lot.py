@@ -67,6 +67,21 @@ def test_extreme_dies_are_repaired_or_scrapped(simulator):
     assert hopeless.vsb == 0.0
 
 
+def test_lot_counts_its_dies_without_task_failures(simulator):
+    from repro import observability
+
+    observability.reset()
+    observability.enable()
+    try:
+        simulator.run(n_dies=10, sigma_inter=0.04, seed=3)
+        counters = observability.snapshot()["metrics"]["counters"]
+    finally:
+        observability.disable()
+        observability.reset()
+    assert counters["lot.dies"] == 10
+    assert counters.get("executor.task_failures", 0) == 0
+
+
 def test_shipped_dies_meet_the_memory_limit(simulator):
     report = simulator.run(n_dies=40, sigma_inter=0.05, seed=7)
     for die in report.dies:

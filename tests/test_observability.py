@@ -386,6 +386,24 @@ def main_ok(cli, argv) -> bool:
     return cli.main(argv) == 0
 
 
+class TestProfileSmoke:
+    def test_profile_writes_loadable_stats(self, tmp_path):
+        import pstats
+
+        observability.enable()
+        observability.enable_profiling()
+        with observability.profile("zone"):
+            sum(i * i for i in range(20_000))
+        out = tmp_path / "zone.pstats"
+        assert observability.write_profile(str(out)) == ["zone"]
+        assert out.stat().st_size > 0
+        assert pstats.Stats(str(out)).total_calls > 0
+
+    def test_write_without_data_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            observability.write_profile(str(tmp_path / "empty.pstats"))
+
+
 # ----------------------------------------------------------------------
 # No-op mode stays free
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import observability
 from repro.experiments.context import ExperimentContext
 from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import (
@@ -421,3 +422,69 @@ class TestDiskCache:
         warm = ExperimentContext(**CTX_PARAMS, cache_dir=tmp_path)
         warm.table(0.0)
         assert warm.result_cache.hits >= 2
+
+
+class TestAdaptiveSweepCache:
+    """The fig2c-style adaptive-IS sweep, cold into a cache then warm.
+
+    Checked on the observability counters rather than wall-clock: a
+    warm run with ``mc.samples == 0`` did no Monte-Carlo work.
+    """
+
+    PARAMS = dict(
+        target=1e-4,
+        calibration_samples=2_500,
+        analysis_samples=384,
+        sampler="adaptive-is",
+        sampler_scale=None,
+        table_grid=5,
+        seed=11,
+    )
+    VBODY_LEVELS = (0.0, 0.3)
+    PROBES = (-0.09, -0.03, 0.0, 0.04, 0.09)
+
+    def sweep(self, cache_dir):
+        """Build every table with collection on; (tables, metrics)."""
+        observability.reset()
+        observability.enable()
+        try:
+            ctx = ExperimentContext(**self.PARAMS, cache_dir=cache_dir)
+            tables = [ctx.table(vbody) for vbody in self.VBODY_LEVELS]
+            return tables, observability.snapshot()["metrics"]
+        finally:
+            observability.disable()
+            observability.reset()
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("sweep-cache")
+        return cache_dir, *self.sweep(cache_dir)
+
+    def test_cold_sweep_spends_at_most_1000_calls_per_estimate(self, cold):
+        _, _, metrics = cold
+        counters = metrics["counters"]
+        assert counters["mc.samples"] > 0
+        assert counters["mc.estimates"] > 0
+        assert counters["solver.calls"] > 0
+        # The legacy fixed-scale sampler needed 1200 solver calls per
+        # estimate at this sizing for the same CI width.
+        assert metrics["histograms"]["analysis.solver_calls"]["max"] <= 1000
+        # Exhausted retries on a healthy, fault-free run would mean the
+        # fault-tolerance layer itself regressed.
+        assert counters.get("executor.task_failures", 0) == 0
+
+    def test_warm_rerun_recomputes_nothing(self, cold):
+        cache_dir, cold_tables, cold_metrics = cold
+        warm_tables, metrics = self.sweep(cache_dir)
+        counters = metrics["counters"]
+        # Criteria plus one table per body-bias level.
+        n_artifacts = 1 + len(self.VBODY_LEVELS)
+        assert cold_metrics["counters"]["cache.misses"] >= n_artifacts
+        assert counters["cache.hits"] >= n_artifacts
+        assert counters.get("cache.misses", 0) == 0
+        assert counters.get("mc.samples", 0) == 0
+        # The entries the cold build just wrote must all verify.
+        assert counters.get("cache.quarantined", 0) == 0
+        for cold_t, warm_t in zip(cold_tables, warm_tables):
+            for probe in self.PROBES:
+                assert warm_t.probability(probe) == cold_t.probability(probe)

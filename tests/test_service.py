@@ -1808,3 +1808,54 @@ class TestServiceEventRunIds:
         assert events[-1].type == "job.completed"
         assert all(e.run_id == job.id for e in events)
         assert all(e.wire()["run_id"] == job.id for e in events)
+
+
+#: The fig2c-style adaptive-IS sweep the warm burst serves.
+SWEEP_SPEC = {
+    "kind": "table",
+    "target": 1e-4,
+    "calibration_samples": 2_500,
+    "analysis_samples": 384,
+    "sampler": "adaptive-is",
+    "table_grid": 5,
+    "seed": 11,
+    "vbody_levels": [0.0, 0.3],
+}
+
+
+def test_warm_burst_is_served_from_memory(metrics_on, tmp_path):
+    """After the cold build, duplicate submits dedupe, result reads
+    come back at memcache-like latency, and nothing is recomputed."""
+    manager = JobManager(cache_dir=tmp_path, checkpoint_dir=tmp_path)
+    background = BackgroundServer(manager)
+    url = background.start()
+    try:
+        run_load(url, SWEEP_SPEC, duplicates=0, result_gets=1, timeout=600)
+        observability.reset()
+        run_load(
+            url, SWEEP_SPEC, duplicates=10, result_gets=30, timeout=60,
+            follow=True,
+        )
+        metrics = observability.snapshot()["metrics"]
+    finally:
+        background.stop()
+    counters = metrics["counters"]
+    # The burst runs with no queue bound and no crash: nothing may
+    # fail, be shed at admission, or be declared unrecoverable.
+    for name in (
+        "service.jobs_failed",
+        "service.jobs_lost",
+        "service.jobs_rejected",
+        "service.events_dropped",
+        "mc.samples",
+    ):
+        assert counters.get(name, 0) == 0, name
+    for name in (
+        "service.jobs_deduped",
+        "service.requests",
+        "service.events",
+    ):
+        assert counters.get(name, 0) > 0, name
+    # The cold build takes seconds, so an accidental recompute would
+    # blow this bound by orders of magnitude.
+    assert metrics["histograms"]["service.client_result_seconds"]["p95"] <= 0.25

@@ -1,5 +1,7 @@
 """Tests for the vectorised cell solvers, including their physics trends."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,52 @@ class TestHoldSolve:
             nominal_cell.device("pl"), nominal_cell.device("nl"), 1.0
         )
         assert 0.1 < scalar(vm) < 0.9
+
+
+#: Population size of the kernel checks (one sweep point's work).
+N_CELLS = 20_000
+
+#: Minimum metric-engine throughput [cells/s].  Typical hardware
+#: delivers 7-30k cells/s; the floor sits ~3x below the slowest machine
+#: measured so only an algorithmic regression, not scheduler jitter or
+#: a loaded box, can trip it.
+THROUGHPUT_FLOOR = 2_000
+
+
+@pytest.fixture(scope="module")
+def population():
+    from repro.sram.cell import CellGeometry
+    from repro.technology import predictive_70nm
+
+    tech = predictive_70nm()
+    geometry = CellGeometry()
+    dvt = sample_cell_dvt(tech, geometry, np.random.default_rng(1), N_CELLS)
+    return SixTCell(tech, geometry, ProcessCorner(0.0), dvt)
+
+
+class TestPopulationKernels:
+    def test_read_and_hold_solves(self, population):
+        v_read = solve_read_node(population, 1.0)
+        assert v_read.shape == (N_CELLS,)
+        assert float(np.mean(v_read)) < 0.5
+        vl, vr = solve_hold_state(population, 0.3)
+        assert vl.shape == vr.shape == (N_CELLS,)
+        assert np.all(vl >= vr)
+
+    def test_leakage_shape(self, population):
+        from repro.sram.leakage import cell_leakage
+
+        assert cell_leakage(population).total.shape == (N_CELLS,)
+
+    def test_metric_engine_throughput_floor(self, population):
+        from repro.sram.metrics import OperatingConditions, compute_cell_metrics
+
+        conditions = OperatingConditions.nominal(population.tech)
+        start = time.perf_counter()
+        metrics = compute_cell_metrics(population, conditions)
+        rate = N_CELLS / (time.perf_counter() - start)
+        assert metrics.v_read.shape == (N_CELLS,)
+        assert rate > THROUGHPUT_FLOOR, (
+            f"metric engine measured {rate:.0f} cells/s, below the "
+            f"{THROUGHPUT_FLOOR} cells/s floor"
+        )

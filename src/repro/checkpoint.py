@@ -7,18 +7,17 @@ re-run with the same parameters resumes from the last flush instead of
 starting over, and a re-run with *different* parameters can never pick
 up stale cells (the fingerprint differs, the checkpoint is ignored).
 
-The store piggybacks on :mod:`repro.durable`: every checkpoint file is
-an atomic, checksummed envelope, and a corrupt or truncated checkpoint
-(e.g. the process died *during* a flush — impossible under the atomic
-rename, but a torn disk is not) is quarantined and treated as absent,
-never raised.
+Checkpoint files are sealed entries of a
+:class:`repro.durable.SealedDir` and read with its policy: a corrupt
+or truncated checkpoint is quarantined and treated as absent, never
+raised.
 
 Because every task in this stack derives its randomness from its own
 key (die seed, (corner, bias) seed), computing only the missing indices
 yields bit-identical results to a fresh full run — resume is exact,
-not approximate.  :meth:`CheckpointStore.resumable_map` packages the
-whole protocol: load, compute missing in flush-sized slices, clear on
-completion.
+not approximate.  :func:`resumable_map` is the one call every build
+makes: a single batch without a store, load / compute missing in
+flush-sized slices / clear with one.
 """
 
 from __future__ import annotations
@@ -35,8 +34,11 @@ _log = get_logger("checkpoint")
 #: Schema tag written into every checkpoint envelope.
 _FORMAT = 1
 
+#: Default flush cadence: completed results per checkpoint flush.
+FLUSH_EVERY = 8
 
-class CheckpointStore:
+
+class CheckpointStore(durable.SealedDir):
     """Fingerprint-keyed partial-result files under one directory.
 
     Args:
@@ -46,17 +48,16 @@ class CheckpointStore:
             each :meth:`resumable_map` slice).
     """
 
-    def __init__(self, directory: str | pathlib.Path, every: int = 8) -> None:
+    scope = "checkpoint"
+    formats = (_FORMAT,)
+    fields = ("completed",)
+
+    def __init__(
+        self, directory: str | pathlib.Path, every: int = FLUSH_EVERY
+    ) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        self.directory = pathlib.Path(directory)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except FileExistsError:
-            raise NotADirectoryError(
-                f"checkpoint dir {self.directory} exists and is not a "
-                "directory"
-            ) from None
+        super().__init__(directory)
         self.every = int(every)
 
     def path(self, kind: str, fingerprint: str) -> pathlib.Path:
@@ -66,41 +67,23 @@ class CheckpointStore:
     def load(self, kind: str, fingerprint: str) -> dict[int, object]:
         """Completed ``index -> encoded-result`` entries, or ``{}``.
 
-        A corrupt, truncated, or wrong-fingerprint file is quarantined
-        (``<name>.corrupt-N``) and reported as empty — a bad checkpoint
-        costs a recompute, never an exception or a wrong result.
+        A corrupt or truncated file is quarantined
+        (``<name>.corrupt-N``); it and a valid file for another
+        (kind, fingerprint) read as empty — a bad checkpoint costs a
+        recompute, never an exception or a wrong result.
         """
         path = self.path(kind, fingerprint)
-        if not path.exists():
+        payload = self.read_entry(
+            path,
+            lambda entry: entry.get("kind") == kind
+            and entry.get("fingerprint") == fingerprint,
+        )
+        if payload is None:
             return {}
-        try:
-            payload = durable.read_sealed(path)
-        except durable.CorruptStateError as exc:
-            incr("checkpoint.quarantined")
-            _log.warning(
-                "checkpoint.corrupt", path=str(path), reason=str(exc)
-            )
-            durable.quarantine(path)
-            return {}
-        if (
-            payload.get("format") != _FORMAT
-            or payload.get("kind") != kind
-            or payload.get("fingerprint") != fingerprint
-            or not isinstance(payload.get("completed"), dict)
-        ):
-            incr("checkpoint.quarantined")
-            _log.warning("checkpoint.mismatch", path=str(path))
-            durable.quarantine(path)
-            return {}
-        completed = {
-            int(index): value
-            for index, value in payload["completed"].items()
-        }
+        completed = {int(i): v for i, v in payload["completed"].items()}
         incr("checkpoint.resumed_cells", len(completed))
         _log.info(
-            "checkpoint.resumed",
-            kind=kind,
-            path=str(path),
+            "checkpoint.resumed", kind=kind, path=str(path),
             completed=len(completed),
         )
         return completed
@@ -138,20 +121,13 @@ class CheckpointStore:
     ) -> list:
         """Compute ``n`` indexed results with periodic flushes.
 
-        Args:
-            kind: artifact family (namespaces the checkpoint file).
-            fingerprint: content fingerprint of the full build payload.
-            n: total result count.
-            compute: maps a list of missing indices to their results
-                (the caller fans this out however it likes); must be a
-                pure function of the indices for resume to be exact.
-            encode / decode: JSON-serialisable round-trip for one
-                result.
-
-        Completed entries from a previous run are decoded instead of
-        recomputed; the rest are computed in slices of :attr:`every`
-        with a flush after each slice; the checkpoint is cleared once
-        every index is present.
+        ``compute`` maps a list of missing indices to their results and
+        must be a pure function of them for resume to be exact;
+        ``encode`` / ``decode`` round-trip one result through JSON.
+        Completed entries of the (``kind``, ``fingerprint``) build are
+        decoded instead of recomputed; the rest are computed in slices
+        of :attr:`every` with a flush after each; the checkpoint is
+        cleared once every index is present.
 
         Slice boundaries are the build's cancellation safe points: the
         ambient :mod:`repro.cancellation` token (if any) is polled
@@ -175,3 +151,19 @@ class CheckpointStore:
             self.save(kind, fingerprint, completed)
         self.clear(kind, fingerprint)
         return results
+
+
+def resumable_map(
+    store: CheckpointStore | None,
+    kind: str,
+    fingerprint: str,
+    n: int,
+    compute: Callable[[Sequence[int]], Sequence[object]],
+    encode: Callable[[object], object],
+    decode: Callable[[object], object],
+) -> list:
+    """``compute`` over ``range(n)``: one call without a ``store``, else
+    :meth:`CheckpointStore.resumable_map` (same results either way)."""
+    if store is None:
+        return list(compute(range(n)))
+    return store.resumable_map(kind, fingerprint, n, compute, encode, decode)

@@ -21,11 +21,13 @@ test suite.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.checkpoint import resumable_map
 from repro.core.body_bias import SelfRepairingSRAM
 from repro.core.monitor import CornerBin
 from repro.core.source_bias import SourceBiasDAC
@@ -33,6 +35,7 @@ from repro.observability import diagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr
 from repro.observability.tracing import trace
+from repro.parallel.cache import fingerprint
 from repro.stats.montecarlo import MonteCarloResult
 from repro.power.standby import die_standby_power
 from repro.sram.metrics import OperatingConditions
@@ -265,16 +268,12 @@ class LotSimulator:
         self, n_dies: int, sigma_inter: float, seed: int
     ) -> str:
         """Content fingerprint of everything one lot run depends on."""
-        import dataclasses as _dc
-
-        from repro.parallel.cache import fingerprint
-
         return fingerprint(
             {
-                "technology": _dc.asdict(self.pipeline.tech),
-                "geometry": _dc.asdict(self.pipeline.geometry),
-                "organization": _dc.asdict(self.pipeline.organization),
-                "asb_conditions": _dc.asdict(self.asb_conditions),
+                "technology": dataclasses.asdict(self.pipeline.tech),
+                "geometry": dataclasses.asdict(self.pipeline.geometry),
+                "organization": dataclasses.asdict(self.pipeline.organization),
+                "asb_conditions": dataclasses.asdict(self.asb_conditions),
                 "p_memory_limit": self.p_memory_limit,
                 "n_dies": n_dies,
                 "sigma_inter": sigma_inter,
@@ -315,32 +314,28 @@ class LotSimulator:
         ]
         _log.info("lot.start", dies=n_dies, sigma_inter=sigma_inter)
 
+        stride = max(1, n_dies // 10)
+
         def compute(indices) -> list:
-            chunk = [tasks[i] for i in indices]
             if executor is not None:
-                return executor.map(_die_task, chunk)
-            return [_die_task(task) for task in chunk]
+                return executor.map(_die_task, [tasks[i] for i in indices])
+            records = []
+            for i in indices:
+                records.append(_die_task(tasks[i]))
+                if (i + 1) % stride == 0 or i + 1 == n_dies:
+                    _log.info("lot.progress", done=i + 1, total=n_dies)
+            return records
 
         with trace("lot.run"):
-            if checkpoint is not None:
-                records = checkpoint.resumable_map(
-                    "lot",
-                    self._lot_fingerprint(n_dies, sigma_inter, seed),
-                    n_dies,
-                    compute,
-                    _encode_die,
-                    _decode_die,
-                )
-            elif executor is None:
-                # Inline path: cheap per-die progress (every ~10%).
-                stride = max(1, n_dies // 10)
-                records = []
-                for i, task in enumerate(tasks):
-                    records.append(_die_task(task))
-                    if (i + 1) % stride == 0 or i + 1 == n_dies:
-                        _log.info("lot.progress", done=i + 1, total=n_dies)
-            else:
-                records = executor.map(_die_task, tasks)
+            records = resumable_map(
+                checkpoint,
+                "lot",
+                self._lot_fingerprint(n_dies, sigma_inter, seed),
+                n_dies,
+                compute,
+                _encode_die,
+                _decode_die,
+            )
         report = LotReport(dies=list(records))
         diagnostics.record("lot.yield", report.yield_result())
         _log.info(

@@ -21,13 +21,20 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from repro.failures.analysis import MECHANISMS, CellFailureAnalyzer
+from repro.checkpoint import resumable_map
+from repro.failures.analysis import (
+    MECHANISMS,
+    CellFailureAnalyzer,
+    FailureProbabilities,
+)
 from repro.observability import diagnostics
 from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe
 from repro.observability.tracing import trace
+from repro.parallel.cache import fingerprint
 from repro.sram.metrics import OperatingConditions
+from repro.stats.montecarlo import MonteCarloResult
 from repro.technology.corners import ProcessCorner
 
 if TYPE_CHECKING:  # pragma: no cover - hint-only imports
@@ -112,8 +119,8 @@ class FailureProbabilityTable:
     @trace("table.build")
     def _build(self) -> None:
         start = time.perf_counter()
-        key = self._cache_key() if self._cache is not None else None
-        if key is not None:
+        key = self._cache_key()
+        if self._cache is not None:
             stored = self._cache.get("failure-table", key)
             if stored is not None:
                 for name, values in stored["log10_probability"].items():
@@ -138,7 +145,7 @@ class FailureProbabilityTable:
             n_samples=self.analyzer.n_samples,
             vbody=self.conditions.vbody_n,
         )
-        results = self._compute_grid()
+        results = self._compute_grid(key)
         log_p = {name: np.empty(self.grid.size) for name in MECHANISMS + ("any",)}
         for i, probs in enumerate(results):
             for name in MECHANISMS + ("any",):
@@ -152,7 +159,7 @@ class FailureProbabilityTable:
             grid=self.grid.size,
             seconds=round(time.perf_counter() - start, 3),
         )
-        if key is not None:
+        if self._cache is not None:
             self._cache.put(
                 "failure-table",
                 key,
@@ -165,14 +172,14 @@ class FailureProbabilityTable:
                 },
             )
 
-    def _compute_grid(self) -> list:
+    def _compute_grid(self, key: dict) -> list:
         """Per-grid-cell failure estimates, checkpointed when enabled.
 
         Without a checkpoint store this is one batch call.  With one,
         missing cells are computed in flush-sized slices keyed by the
-        same fingerprint payload the cache uses, so a killed build
-        resumes — and because every cell seeds its own RNG stream from
-        its (corner, bias) key, the resumed table is bit-identical.
+        fingerprint of ``key`` (the cache key payload), so a killed
+        build resumes — and because every cell seeds its own RNG stream
+        from its (corner, bias) key, the resumed table is bit-identical.
         """
 
         def compute(indices) -> list:
@@ -181,12 +188,6 @@ class FailureProbabilityTable:
                 [self.conditions] * len(indices),
                 executor=self._executor,
             )
-
-        if self._checkpoint is None:
-            return compute(range(self.grid.size))
-        from repro.failures.analysis import FailureProbabilities
-        from repro.parallel.cache import fingerprint
-        from repro.stats.montecarlo import MonteCarloResult
 
         def encode(probs) -> dict:
             return {
@@ -202,9 +203,10 @@ class FailureProbabilityTable:
                 }
             )
 
-        return self._checkpoint.resumable_map(
+        return resumable_map(
+            self._checkpoint,
             "failure-table",
-            fingerprint(self._cache_key()),
+            fingerprint(key),
             self.grid.size,
             compute,
             encode,

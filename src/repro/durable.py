@@ -16,6 +16,10 @@ torn disk write must not violate:
   ``<name>.corrupt-N`` sibling so it stops matching reads but stays on
   disk for a post-mortem.
 
+Two primitives build on these: :class:`SealedDir`, the sealed entry
+files of the result cache and the checkpoint store, read one way; and
+the job ledger's sealed, fsync'd log (:mod:`repro.service.ledger`).
+
 The chaos harness hooks in here: when a
 :class:`~repro.faults.FaultPlan` is armed, :func:`atomic_write_text`
 asks it whether this write should be torn (truncated mid-payload) or
@@ -29,6 +33,7 @@ import hashlib
 import json
 import os
 import pathlib
+from typing import Callable
 
 from repro import faults
 from repro.observability.log import get_logger
@@ -113,24 +118,88 @@ def write_sealed(path: str | pathlib.Path, payload: dict) -> pathlib.Path:
     )
 
 
-def read_sealed(path: str | pathlib.Path) -> dict:
-    """Read and verify a sealed file; raise on any integrity failure.
+def read_sealed(
+    path: str | pathlib.Path,
+    formats: tuple | None = None,
+    unsealed: tuple = (),
+    fields: tuple = (),
+) -> dict:
+    """Read and verify one sealed entry file; raise on any fault.
 
-    Raises:
-        CorruptStateError: unreadable bytes, malformed JSON, a
-            non-object payload, a missing digest, or a digest mismatch.
+    ``formats`` lists the accepted ``format`` values (None: any); those
+    in ``unsealed`` predate the digest and load unverified.  Every name
+    in ``fields`` must be present.  A missing file raises
+    :class:`FileNotFoundError`; anything else wrong raises
+    :class:`CorruptStateError`.
     """
+    try:
+        payload = json.loads(pathlib.Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise CorruptStateError(f"unreadable or malformed: {exc}") from exc
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if formats is not None and version not in formats:
+        raise CorruptStateError(f"format {version!r} is not one of {formats}")
+    if version not in unsealed:
+        verify(payload)
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise CorruptStateError(f"missing field(s) {missing}")
+    return payload
+
+
+def ensure_dir(path: str | pathlib.Path) -> pathlib.Path:
+    """Create directory ``path`` if missing; raise if it is a file."""
     path = pathlib.Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CorruptStateError(f"unreadable: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptStateError(f"malformed JSON: {exc}") from exc
-    verify(payload)
-    return payload
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise NotADirectoryError(f"{path} is not a directory") from None
+    return path
+
+
+class SealedDir:
+    """A directory of sealed entry files, all read one way.
+
+    Subclasses set the class attributes and read through
+    :meth:`read_entry`; :attr:`quarantined` counts the entries this
+    instance moved aside.
+    """
+
+    #: Prefix of the ``<scope>.quarantined`` counter and log event.
+    scope = "durable"
+    #: The ``format`` values and the fields a valid entry carries.
+    formats: tuple = ()
+    fields: tuple = ()
+
+    def __init__(self, directory: str | pathlib.Path) -> None:
+        self.directory = ensure_dir(directory)
+        self.quarantined = 0
+
+    def read_entry(
+        self, path: pathlib.Path, matches: Callable[[dict], bool]
+    ) -> dict | None:
+        """The valid entry at ``path`` if ``matches`` accepts it.
+
+        A missing file is ``None``.  An unreadable, corrupt or
+        wrong-format one is quarantined, counted and logged, and is
+        ``None``.  A valid entry that ``matches`` rejects belongs to
+        another key: ``None``, and the file stays where it is.
+        """
+        try:
+            entry = read_sealed(path, self.formats, fields=self.fields)
+        except FileNotFoundError:
+            return None
+        except CorruptStateError as exc:
+            self.quarantined += 1
+            incr(f"{self.scope}.quarantined")
+            _log.warning(
+                f"{self.scope}.quarantined", path=str(path),
+                reason=str(exc), moved_to=str(quarantine(path)),
+            )
+            return None
+        return entry if matches(entry) else None
 
 
 def quarantine(path: str | pathlib.Path) -> pathlib.Path | None:
@@ -150,5 +219,4 @@ def quarantine(path: str | pathlib.Path) -> pathlib.Path | None:
         path.replace(target)
     except OSError:
         return None
-    _log.warning("durable.quarantined", path=str(path), moved_to=str(target))
     return target

@@ -58,6 +58,7 @@ import sys
 import time
 
 from repro import faults, observability
+from repro.checkpoint import FLUSH_EVERY
 from repro.observability.diagnostics import DiagnosticThresholds
 from repro.observability.output import resolve_out_path as _resolve_out_path
 from repro.stats.rare_event import SAMPLER_NAMES
@@ -284,9 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=8,
+        default=FLUSH_EVERY,
         metavar="N",
-        help="completed cells per checkpoint flush (default 8)",
+        help="completed cells per checkpoint flush (default %(default)s)",
     )
     args = parser.parse_args(argv)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from repro.checkpoint import resumable_map
 from repro.core.source_bias import (
     SelfAdaptiveSourceBias,
     SourceBiasDAC,
@@ -32,10 +33,12 @@ from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe
 from repro.observability.tracing import trace
+from repro.parallel.cache import fingerprint
 from repro.power.standby import die_standby_power
 from repro.sram.array import ArrayOrganization, FunctionalMemoryArray
 from repro.stats.distributions import NormalDistribution
 from repro.stats.integration import dense_expectation
+from repro.stats.montecarlo import MonteCarloResult
 from repro.technology.corners import ProcessCorner
 from repro.technology.variation import InterDieDistribution
 
@@ -137,6 +140,7 @@ class HoldProbabilityTable:
             for vsb in self.vsb_grid:
                 corners.append(ProcessCorner(float(dvt)))
                 conditions.append(ctx.asb_conditions(float(vsb)))
+
         def compute(indices):
             return analyzer.hold_failure_probability_batch(
                 [corners[i] for i in indices],
@@ -144,23 +148,17 @@ class HoldProbabilityTable:
                 executor=ctx.executor,
             )
 
-        store = getattr(ctx, "checkpoint_store", None)
-        if store is None:
-            results = compute(range(len(corners)))
-        else:
-            # Each (corner, vsb) node seeds its own RNG stream from its
-            # key, so a resumed build is bit-identical to a fresh one.
-            from repro.parallel.cache import fingerprint
-            from repro.stats.montecarlo import MonteCarloResult
-
-            results = store.resumable_map(
-                "hold-table",
-                fingerprint(key),
-                len(corners),
-                compute,
-                dataclasses.asdict,
-                lambda raw: MonteCarloResult(**raw),
-            )
+        # Each (corner, vsb) node seeds its own RNG stream from its key,
+        # so a resumed build is bit-identical to a fresh one.
+        results = resumable_map(
+            getattr(ctx, "checkpoint_store", None),
+            "hold-table",
+            fingerprint(key),
+            len(corners),
+            compute,
+            dataclasses.asdict,
+            lambda raw: MonteCarloResult(**raw),
+        )
         self.diagnostics = diagnostics.summarize(results)
         for result in results:
             diagnostics.record("hold_table", result)

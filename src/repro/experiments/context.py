@@ -17,7 +17,7 @@ import dataclasses
 from functools import lru_cache
 
 from repro import faults
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import FLUSH_EVERY, CheckpointStore
 from repro.core.tables import FailureProbabilityTable
 from repro.failures.analysis import CellFailureAnalyzer
 from repro.failures.criteria import FailureCriteria, calibrate_criteria
@@ -78,7 +78,7 @@ class ExperimentContext:
         workers: int = 1,
         cache_dir: str | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int = 8,
+        checkpoint_every: int = FLUSH_EVERY,
         fault_plan: "faults.FaultPlan | None" = None,
     ) -> None:
         self.tech = tech if tech is not None else predictive_70nm()
@@ -116,7 +116,7 @@ class ExperimentContext:
         workers: int = 1,
         cache_dir: str | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int = 8,
+        checkpoint_every: int = FLUSH_EVERY,
         fault_plan: "faults.FaultPlan | None" = None,
     ) -> "ExperimentContext":
         """A context configured from a normalized service job spec.
@@ -160,7 +160,7 @@ class ExperimentContext:
         workers: int | None = None,
         cache_dir: str | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int = FLUSH_EVERY,
         fault_plan: "faults.FaultPlan | None" = None,
     ) -> "ExperimentContext":
         """Re-point the execution engine / result cache after creation.
@@ -182,8 +182,7 @@ class ExperimentContext:
             self.result_cache = ResultCache(cache_dir)
         if checkpoint_dir is not None:
             self.checkpoint_store = CheckpointStore(
-                checkpoint_dir,
-                every=(checkpoint_every if checkpoint_every else 8),
+                checkpoint_dir, every=checkpoint_every
             )
         return self
 

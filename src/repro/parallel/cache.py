@@ -8,19 +8,17 @@ result by a SHA-256 fingerprint of the *complete* input payload —
 change any field anywhere (a Pelgrom coefficient, a sample count, a
 grid node) and the key changes, so stale results can never be served.
 
-Files are plain JSON, human-inspectable and safe to commit.  Each file
-is a sealed :mod:`repro.durable` envelope: written atomically
-(temp-file + rename), carrying an embedded SHA-256 checksum of its own
-body and a format-version field, and re-embedding the key payload it
-was computed from.  :meth:`ResultCache.get` verifies all three before
-returning — a truncated file, a torn write, a hand-edit, or a
-format-version mismatch is *quarantined* to a ``<name>.corrupt-N``
-sibling (counter ``cache.quarantined``) and degrades to a miss, never
-to an exception or silent corruption.
+Files are plain JSON, human-inspectable and safe to commit.  Each one
+is a sealed entry of a :class:`repro.durable.SealedDir` (atomic write,
+embedded checksum, format number) that re-embeds the key payload it
+was computed from; reads follow that class's policy, so a damaged
+entry is quarantined (counter ``cache.quarantined``) and degrades to
+a miss, never to an exception or a wrong result.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -39,19 +37,16 @@ _FORMAT = 2
 def fingerprint(payload: dict) -> str:
     """A stable hex digest of a JSON-serialisable key payload.
 
-    The payload is canonicalised (sorted keys, no whitespace, floats
-    via ``default=float`` for numpy scalars) so logically equal payloads
-    always hash identically across processes and platforms.
+    The payload is canonicalised (:func:`repro.durable.canonical_json`)
+    so logically equal payloads always hash identically across
+    processes and platforms.
     """
-    import hashlib
-
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=float
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:24]
+    return hashlib.sha256(
+        durable.canonical_json(payload).encode()
+    ).hexdigest()[:24]
 
 
-class ResultCache:
+class ResultCache(durable.SealedDir):
     """JSON result store under one directory, keyed by fingerprints.
 
     Args:
@@ -66,76 +61,35 @@ class ResultCache:
         quarantined: corrupt entries moved aside by this instance.
     """
 
+    scope = "cache"
+    formats = (_FORMAT,)
+    fields = ("value",)
+
     def __init__(self, cache_dir: str | pathlib.Path) -> None:
-        self.cache_dir = pathlib.Path(cache_dir)
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        except FileExistsError:
-            raise NotADirectoryError(
-                f"cache_dir {self.cache_dir} exists and is not a directory"
-            ) from None
+        super().__init__(cache_dir)
         self.hits = 0
         self.misses = 0
-        self.quarantined = 0
 
     def _path(self, kind: str, key: str) -> pathlib.Path:
-        return self.cache_dir / f"{kind}-{key}.json"
-
-    def _miss(self, kind: str, key: str, reason: str) -> None:
-        self.misses += 1
-        incr("cache.misses")
-        _log.debug("cache.miss", kind=kind, key=key, reason=reason)
-
-    def _quarantine(
-        self, path: pathlib.Path, kind: str, key: str, reason: str
-    ) -> None:
-        """Move a bad entry aside and count it; reads see a miss."""
-        self.quarantined += 1
-        incr("cache.quarantined")
-        moved = durable.quarantine(path)
-        _log.warning(
-            "cache.quarantined",
-            kind=kind,
-            key=key,
-            reason=reason,
-            moved_to=str(moved) if moved else None,
-        )
-        self._miss(kind, key, f"quarantined: {reason}")
+        return self.directory / f"{kind}-{key}.json"
 
     def get(self, kind: str, key_payload: dict) -> dict | None:
         """The stored value for ``key_payload``, or None on a miss.
 
-        *Every* read failure — unreadable bytes, malformed JSON, a
-        missing or mismatched checksum, a format-version mismatch, a
-        missing value field — is a counted miss (with the bad file
-        quarantined), never an exception.
+        An absent entry, a damaged one (quarantined), and a valid
+        entry for another payload (a truncated-hash collision, left in
+        place) are all counted misses, never exceptions.
         """
         key = fingerprint(key_payload)
-        path = self._path(kind, key)
-        if not path.exists():
-            self._miss(kind, key, "absent")
-            return None
-        try:
-            stored = durable.read_sealed(path)
-        except durable.CorruptStateError as exc:
-            self._quarantine(path, kind, key, str(exc))
-            return None
-        if stored.get("format") != _FORMAT:
-            self._quarantine(
-                path, kind, key,
-                f"format {stored.get('format')!r} != {_FORMAT}",
-            )
-            return None
-        if "value" not in stored:
-            self._quarantine(path, kind, key, "no value field")
-            return None
-        if (
-            stored.get("kind") != kind
-            or stored.get("key") != _roundtrip(key_payload)
-        ):
-            # A *valid* entry for some other payload (truncated-hash
-            # collision): leave it alone, it is not corrupt.
-            self._miss(kind, key, "key-mismatch")
+        stored = self.read_entry(
+            self._path(kind, key),
+            lambda entry: entry.get("kind") == kind
+            and entry.get("key") == _roundtrip(key_payload),
+        )
+        if stored is None:
+            self.misses += 1
+            incr("cache.misses")
+            _log.debug("cache.miss", kind=kind, key=key)
             return None
         self.hits += 1
         incr("cache.hits")
@@ -150,7 +104,6 @@ class ResultCache:
         as a quarantine + miss, never as a wrong result.
         """
         key = fingerprint(key_payload)
-        path = self._path(kind, key)
         incr("cache.puts")
         _log.info("cache.put", kind=kind, key=key)
         payload = {
@@ -159,7 +112,7 @@ class ResultCache:
             "key": _roundtrip(key_payload),
             "value": value,
         }
-        return durable.write_sealed(path, payload)
+        return durable.write_sealed(self._path(kind, key), payload)
 
 
 def _roundtrip(payload: dict) -> dict:

@@ -38,7 +38,8 @@ from repro.technology.parameters import TechnologyParameters
 
 #: Format version written into every file (2 = checksummed envelope).
 _FORMAT = 2
-#: Formats this module can still read (1 predates the checksum).
+#: Formats this module can still read (1 predates the checksum and
+#: loads unverified).
 _READABLE_FORMATS = (1, 2)
 
 
@@ -50,44 +51,64 @@ def technology_fingerprint(tech: TechnologyParameters) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _save(
+    path: str | pathlib.Path,
+    kind: str,
+    tech: TechnologyParameters,
+    **body: object,
+) -> None:
+    """Write one sealed file of ``kind`` for technology card ``tech``."""
+    durable.write_sealed(
+        path,
+        {
+            "format": _FORMAT,
+            "kind": kind,
+            "technology": tech.name,
+            "fingerprint": technology_fingerprint(tech),
+            **body,
+        },
+    )
+
+
+def _load(
+    path: str | pathlib.Path,
+    kind: str,
+    noun: str,
+    tech: TechnologyParameters,
+    strict: bool,
+) -> dict:
+    """Read one file through :func:`repro.durable.read_sealed`.
+
+    The caller named this file, so a damaged one raises (it is not
+    quarantined the way a cache entry is), and so does one of another
+    kind or, when ``strict``, one built for another technology card.
+    """
+    try:
+        payload = durable.read_sealed(path, _READABLE_FORMATS, unsealed=(1,))
+    except durable.CorruptStateError as exc:
+        raise durable.CorruptStateError(
+            f"{path} is corrupt or truncated: it failed integrity "
+            f"verification ({exc}); rebuild it"
+        ) from exc
+    if payload.get("kind") != kind:
+        raise ValueError(f"{path} is not a {noun} file")
+    if strict and payload["fingerprint"] != technology_fingerprint(tech):
+        raise ValueError(
+            f"{path} was built against a different technology card "
+            f"(stored fingerprint {payload['fingerprint']})"
+        )
+    return payload
+
+
 def save_criteria(
     criteria: FailureCriteria,
     path: str | pathlib.Path,
     tech: TechnologyParameters,
 ) -> None:
     """Write calibrated criteria (and the technology fingerprint)."""
-    payload = {
-        "format": _FORMAT,
-        "kind": "failure-criteria",
-        "technology": tech.name,
-        "fingerprint": technology_fingerprint(tech),
-        "criteria": dataclasses.asdict(criteria),
-    }
-    durable.write_sealed(path, payload)
-
-
-def _load_payload(path: str | pathlib.Path, kind: str, noun: str) -> dict:
-    """Parse, shape-check, and (format >= 2) checksum-verify one file."""
-    path = pathlib.Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise durable.CorruptStateError(
-            f"{path} is corrupt or truncated (malformed JSON: {exc})"
-        ) from exc
-    if not isinstance(payload, dict) or payload.get("kind") != kind:
-        raise ValueError(f"{path} is not a {noun} file")
-    if payload.get("format") not in _READABLE_FORMATS:
-        raise ValueError(f"unsupported format {payload.get('format')}")
-    if payload["format"] >= 2:
-        try:
-            durable.verify(payload)
-        except durable.CorruptStateError as exc:
-            raise durable.CorruptStateError(
-                f"{path} failed integrity verification ({exc}); the file "
-                "was truncated, bit-rotted, or hand-edited — rebuild it"
-            ) from exc
-    return payload
+    _save(
+        path, "failure-criteria", tech, criteria=dataclasses.asdict(criteria)
+    )
 
 
 def load_criteria(
@@ -103,12 +124,7 @@ def load_criteria(
         strict: raise if the stored fingerprint does not match ``tech``
             (set False to knowingly reuse criteria across card tweaks).
     """
-    payload = _load_payload(path, "failure-criteria", "criteria")
-    if strict and payload["fingerprint"] != technology_fingerprint(tech):
-        raise ValueError(
-            f"criteria in {path} were calibrated against a different "
-            f"technology card (stored fingerprint {payload['fingerprint']})"
-        )
+    payload = _load(path, "failure-criteria", "criteria", tech, strict)
     return FailureCriteria(**payload["criteria"])
 
 
@@ -119,25 +135,20 @@ def save_table(
 ) -> None:
     """Write a failure-probability table's grid data."""
     grid = table.grid
-    curves = {
-        name: [float(spline(x)) for x in grid]
-        for name, spline in table._splines.items()
-    }
-    payload = {
-        "format": _FORMAT,
-        "kind": "failure-table",
-        "technology": tech.name,
-        "fingerprint": technology_fingerprint(tech),
+    body = {
         "grid": [float(x) for x in grid],
-        "log10_probability": curves,
+        "log10_probability": {
+            name: [float(spline(x)) for x in grid]
+            for name, spline in table._splines.items()
+        },
         "conditions": dataclasses.asdict(table.conditions),
     }
     diagnostics = getattr(table, "diagnostics", None)
     if diagnostics is not None:
         # Estimator health travels with the numbers it qualifies, so a
         # table loaded years later still reports how converged it was.
-        payload["diagnostics"] = diagnostics.as_dict()
-    durable.write_sealed(path, payload)
+        body["diagnostics"] = diagnostics.as_dict()
+    _save(path, "failure-table", tech, **body)
 
 
 def load_table(
@@ -150,12 +161,7 @@ def load_table(
 
     from repro.sram.metrics import OperatingConditions
 
-    payload = _load_payload(path, "failure-table", "table")
-    if strict and payload["fingerprint"] != technology_fingerprint(tech):
-        raise ValueError(
-            f"table in {path} was built against a different technology "
-            f"card (stored fingerprint {payload['fingerprint']})"
-        )
+    payload = _load(path, "failure-table", "table", tech, strict)
     from repro.observability.diagnostics import BatchDiagnostics
 
     table = FailureProbabilityTable.__new__(FailureProbabilityTable)

@@ -41,6 +41,7 @@ import signal
 import sys
 
 from repro import faults, observability
+from repro.checkpoint import FLUSH_EVERY
 from repro.service.jobs import JobManager
 from repro.service.server import ServiceServer
 
@@ -95,9 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=8,
+        default=FLUSH_EVERY,
         metavar="N",
-        help="completed cells per checkpoint flush (default 8)",
+        help="completed cells per checkpoint flush (default %(default)s)",
     )
     parser.add_argument(
         "--journal-capacity",

@@ -18,11 +18,13 @@ transition, persisted beside the flight-recorder dumps, and served at
 
 Crash-safe lifecycle (see ``docs/robustness.md``):
 
-* with a ``state_dir``, every accepted/started/terminal transition is
-  appended to a durable :class:`~repro.service.ledger.JobLedger`
-  before it is acted on; on boot the ledger is replayed and every job
-  the previous process still owed is re-enqueued
-  (``service.jobs_recovered``) to resume through its checkpoints;
+* every transition goes through :meth:`JobManager._emit` into the
+  event journal; with a ``state_dir`` the journal's durable sink, a
+  :class:`~repro.service.ledger.JobLedger`, records each accepted,
+  started and terminal event before it is visible.  On boot the
+  ledger is replayed and every job the previous process still owed is
+  re-enqueued (``service.jobs_recovered``) to resume through its
+  checkpoints;
 * :meth:`JobManager.begin_drain` / :meth:`JobManager.drain` implement
   graceful shutdown — new work is rejected (503 upstream), running
   jobs checkpoint-and-finish within a timeout;
@@ -30,24 +32,10 @@ Crash-safe lifecycle (see ``docs/robustness.md``):
   ``deadline_s`` bounds job runtime, and :meth:`JobManager.cancel`
   stops a job cooperatively at its next checkpoint boundary.
 
-Service counters (all under the ``repro.telemetry/1`` schema, see
-``docs/service.md``):
-
-* ``service.jobs_accepted`` — new (or retried) specs queued;
-* ``service.jobs_deduped`` — submissions attached to an existing job;
-* ``service.jobs_completed`` / ``service.jobs_failed`` /
-  ``service.jobs_cancelled`` — terminal states;
-* ``service.jobs_recovered`` — jobs re-enqueued from the ledger on
-  boot; ``service.jobs_lost`` — ledger entries that could *not* be
-  recovered (torn accepted record);
-* ``service.jobs_rejected`` — submissions refused by admission
-  control (queue full, draining, or an injected ``reject_burst``);
-* ``service.jobs_deadline_exceeded`` — jobs stopped by ``deadline_s``;
-* ``service.queue_depth`` (gauge) — jobs currently queued or running;
-* ``service.draining`` (gauge) — 1 once drain has begun;
-* ``service.job_seconds`` (histogram) — per-job wall time;
-* ``service.events`` / ``service.events_dropped`` — journal appends and
-  ring-buffer evictions (see :mod:`repro.service.journal`).
+Admissions, dedupes, recoveries and terminal transitions are counted
+as ``service.jobs_<transition>`` under the ``repro.telemetry/1``
+schema; ``docs/service.md`` lists every service counter, gauge and
+histogram.
 """
 
 from __future__ import annotations
@@ -62,13 +50,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import cancellation, faults
+from repro import cancellation, durable, faults
+from repro.checkpoint import FLUSH_EVERY
 from repro.experiments.context import ExperimentContext
 from repro.observability.context import RunContext, RunScope
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe, registry, set_gauge
 from repro.service.journal import EventJournal
-from repro.service.ledger import JobLedger
+from repro.service.ledger import TERMINAL_TYPES, JobLedger
 from repro.service.spec import (
     SpecError,
     job_cells,
@@ -92,15 +81,19 @@ PROGRESS_COUNTERS = (
     "checkpoint.completed_cells",
 )
 
-#: Job lifecycle states.
+#: Job lifecycle states.  The terminal ones are the ledger's
+#: ``TERMINAL_TYPES``: a job never leaves them on its own (a
+#: resubmission of a failed or cancelled job retries it in place; a
+#: completed job serves warm).
 JOB_STATUSES = ("queued", "running", "completed", "failed", "cancelled")
-
-#: States a job never leaves on its own (a resubmission of a failed or
-#: cancelled job retries it in place; a completed job serves warm).
-TERMINAL_STATUSES = ("completed", "failed", "cancelled")
 
 #: Terminal states a resubmission restarts instead of attaching to.
 RETRYABLE_STATUSES = ("failed", "cancelled")
+
+#: Transitions counted as ``service.jobs_<name>``.
+_COUNTED = (
+    "accepted", "deduped", "recovered", "completed", "failed", "cancelled",
+)
 
 
 class AdmissionError(RuntimeError):
@@ -136,7 +129,7 @@ def run_spec(
     workers: int = 1,
     cache_dir: str | None = None,
     checkpoint_dir: str | None = None,
-    checkpoint_every: int = 8,
+    checkpoint_every: int = FLUSH_EVERY,
 ) -> dict:
     """Execute one normalized spec; return the JSON-ready result.
 
@@ -384,7 +377,7 @@ class JobManager:
         workers: int = 1,
         cache_dir: str | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int = 8,
+        checkpoint_every: int = FLUSH_EVERY,
         runner=run_spec,
         journal_capacity: int = 1024,
         progress_interval: float = 0.5,
@@ -415,6 +408,8 @@ class JobManager:
             max_workers=job_workers, thread_name_prefix="repro-service-job"
         )
         self.journal = EventJournal(journal_capacity)
+        if state_dir:
+            self.journal.ledger = JobLedger(state_dir)
         self.progress_interval = progress_interval
         self.flight_dir = flight_dir or checkpoint_dir or cache_dir
         self.started_at = time.time()
@@ -428,12 +423,7 @@ class JobManager:
         # existing, even before the first job — so a burst with zero
         # failures reports `service.jobs_failed = 0`, not a missing key.
         for name in (
-            "service.jobs_accepted",
-            "service.jobs_deduped",
-            "service.jobs_completed",
-            "service.jobs_failed",
-            "service.jobs_cancelled",
-            "service.jobs_recovered",
+            *(f"service.jobs_{name}" for name in _COUNTED),
             "service.jobs_rejected",
             "service.jobs_deadline_exceeded",
             "service.jobs_lost",
@@ -444,7 +434,6 @@ class JobManager:
             registry.counter(name)
         registry.gauge("service.queue_depth")
         set_gauge("service.draining", 0)
-        self._ledger = JobLedger(state_dir) if state_dir else None
         self._recover()
 
     def uptime_seconds(self) -> float:
@@ -474,49 +463,35 @@ class JobManager:
             job = self._jobs.get(job_id)
             if job is not None and job.status not in RETRYABLE_STATUSES:
                 job.submissions += 1
-                incr("service.jobs_deduped")
-                _log.info(
-                    "job.deduped", job_id=job_id, status=job.status,
+                self._emit(
+                    "job.deduped", job, status=job.status,
                     submissions=job.submissions,
-                )
-                self.journal.append(
-                    "job.deduped", job_id=job_id, run_id=job_id,
-                    status=job.status, submissions=job.submissions,
                 )
                 return job, False
             self._admit_locked(job_id, plan)
             if job is None:
                 job = Job(id=job_id, spec=spec, created_at=time.time())
-                self._jobs[job_id] = job
             else:
-                # Retry of a failed/cancelled job: keep the id and
-                # submission count, clear the old terminal state.
-                job.submissions += 1
-                job.status = "queued"
-                job.error = None
-                job.error_code = None
-                job.result = None
-                job.started_at = None
-                job.finished_at = None
-                job.final_counters = None
-                job.scope = None
-                job.telemetry = None
-                job.recovered = False
-                job.cancel_token = cancellation.CancelToken()
-            incr("service.jobs_accepted")
+                # Retry of a failed/cancelled job: same id, submission
+                # count and creation time; fresh state otherwise.
+                job = Job(
+                    id=job_id, spec=job.spec,
+                    submissions=job.submissions + 1,
+                    created_at=job.created_at,
+                )
+            self._jobs[job_id] = job
             self._update_queue_depth_locked()
         # The accepted record is durable before the client hears "201":
         # a crash after this point owes the job; a crash before it
         # never acknowledged the submission.
-        self._ledger_record(
-            "accepted", job_id, spec=job.spec,
-            submissions=job.submissions, created_at=job.created_at,
-        )
-        _log.info("job.accepted", job_id=job_id, run_id=job_id,
-                  kind=spec["kind"])
-        self.journal.append(
-            "job.accepted", job_id=job_id, run_id=job_id, kind=spec["kind"],
-            submissions=job.submissions,
+        self._emit(
+            "job.accepted", job,
+            record={
+                "spec": job.spec,
+                "submissions": job.submissions,
+                "created_at": job.created_at,
+            },
+            kind=spec["kind"], submissions=job.submissions,
         )
         self._pool.submit(self._execute, job_id)
         return job, True
@@ -543,11 +518,7 @@ class JobManager:
                 retry_after=self.retry_after_s,
             )
         if self.max_queue_depth is not None:
-            depth = sum(
-                1
-                for j in self._jobs.values()
-                if j.status in ("queued", "running")
-            )
+            depth = self._depth_locked()
             if depth >= self.max_queue_depth:
                 incr("service.jobs_rejected")
                 _log.warning(
@@ -579,7 +550,7 @@ class JobManager:
             job = self._jobs.get(job_id)
             if job is None:
                 return None, "missing"
-            if job.status in TERMINAL_STATUSES:
+            if job.status in TERMINAL_TYPES:
                 return job, "terminal"
             if job.status == "queued":
                 job.status = "cancelled"
@@ -593,18 +564,12 @@ class JobManager:
                 job.cancel_token.cancel()
                 outcome = "cancelling"
         if outcome == "cancelled":
-            incr("service.jobs_cancelled")
-            _log.info("job.cancelled", job_id=job_id, phase="queued")
-            self.journal.append(
-                "job.cancelled", job_id=job_id, run_id=job_id,
+            self._emit(
+                "job.cancelled", job, record={"error": job.error},
                 phase="queued",
             )
-            self._ledger_record("cancelled", job_id, error=job.error)
         else:
-            _log.info("job.cancel_requested", job_id=job_id)
-            self.journal.append(
-                "job.cancel_requested", job_id=job_id, run_id=job_id,
-            )
+            self._emit("job.cancel_requested", job)
         return job, outcome
 
     def get(self, job_id: str) -> Job | None:
@@ -621,11 +586,7 @@ class JobManager:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(
-                1
-                for job in self._jobs.values()
-                if job.status in ("queued", "running")
-            )
+            return self._depth_locked()
 
     def shutdown(self) -> None:
         """Stop accepting work; running jobs are abandoned (their
@@ -685,23 +646,25 @@ class JobManager:
             time.sleep(0.05)
 
     # ------------------------------------------------------------------
-    # Durable ledger (crash recovery)
+    # Transitions and crash recovery
     # ------------------------------------------------------------------
-    def _ledger_record(self, type_: str, job_id: str, **fields) -> None:
-        """Append one transition to the ledger, if one is configured.
+    def _emit(
+        self, type_: str, job: Job, record: dict | None = None, **data
+    ) -> None:
+        """One job transition: counted, logged, and journaled.
 
-        Disk trouble is logged and degrades to in-memory operation —
-        a full disk must not turn a completing job into a failed one.
+        ``data`` is the event payload; ``record`` holds the ledger
+        fields of a durable transition, which the journal writes to its
+        ledger before the event becomes visible.
         """
-        if self._ledger is None:
-            return
-        try:
-            self._ledger.record(type_, job_id, **fields)
-        except OSError as exc:  # pragma: no cover - disk trouble
-            _log.warning(
-                "ledger.write_failed", type=type_, job_id=job_id,
-                error=str(exc),
-            )
+        name = type_.removeprefix("job.")
+        if name in _COUNTED:
+            incr(f"service.jobs_{name}")
+        log = _log.warning if name == "failed" else _log.info
+        log(type_, job_id=job.id, run_id=job.id, **data)
+        self.journal.append(
+            type_, job_id=job.id, run_id=job.id, record=record, **data
+        )
 
     def _recover(self) -> None:
         """Replay the ledger; re-enqueue every job the last boot owed.
@@ -714,13 +677,14 @@ class JobManager:
         than silently forgotten.  The ledger is then compacted to the
         live set.
         """
-        if self._ledger is None:
+        ledger = self.journal.ledger
+        if ledger is None:
             return
-        states, skipped = self._ledger.replay()
+        states, skipped = ledger.replay()
         live: dict[str, dict] = {}
         lost = 0
         for job_id, state in sorted(states.items()):
-            if state["status"] in TERMINAL_STATUSES:
+            if state["status"] in TERMINAL_TYPES:
                 continue
             raw_spec = state.get("spec")
             try:
@@ -743,7 +707,7 @@ class JobManager:
             live[job_id] = state
         if lost:
             incr("service.jobs_lost", lost)
-        self._ledger.compact(live)
+        ledger.compact(live)
         if not live:
             return
         order = sorted(
@@ -760,37 +724,27 @@ class JobManager:
             with self._lock:
                 self._jobs[job_id] = job
                 self._update_queue_depth_locked()
-            incr("service.jobs_recovered")
-            _log.info(
-                "job.recovered", job_id=job_id, run_id=job_id,
-                kind=job.spec["kind"],
-            )
-            self.journal.append(
-                "job.recovered", job_id=job_id, run_id=job_id,
-                kind=job.spec["kind"], submissions=job.submissions,
+            self._emit(
+                "job.recovered", job, kind=job.spec["kind"],
+                submissions=job.submissions,
             )
             self._pool.submit(self._execute, job_id)
 
     # ------------------------------------------------------------------
     # Execution (worker thread)
     # ------------------------------------------------------------------
-    def _update_queue_depth_locked(self) -> None:
-        depth = sum(
-            1
-            for job in self._jobs.values()
-            if job.status in ("queued", "running")
+    def _depth_locked(self) -> int:
+        """Jobs queued or running (lock held)."""
+        return sum(
+            job.status in ("queued", "running") for job in self._jobs.values()
         )
-        set_gauge("service.queue_depth", depth)
+
+    def _update_queue_depth_locked(self) -> None:
+        set_gauge("service.queue_depth", self._depth_locked())
 
     def _progress_event(self, job: Job) -> None:
-        progress = job.progress()
         self.journal.append(
-            "job.progress",
-            job_id=job.id,
-            run_id=job.id,
-            cells_done=progress["cells_done"],
-            cells_total=progress["cells_total"],
-            counters=progress["counters"],
+            "job.progress", job_id=job.id, run_id=job.id, **job.progress()
         )
 
     def _freeze_scope_locked(self, job: Job) -> None:
@@ -830,18 +784,13 @@ class JobManager:
             # a job recovered after a long outage can be already due.
             remaining = job.created_at + float(deadline_s) - time.time()
             token.set_deadline(max(0.0, remaining))
-        # The started record is durable before any work happens: a
-        # crash mid-build replays as "owed" and resumes on next boot.
-        self._ledger_record("started", job_id)
         # The whole execution — including terminal logging — runs
         # inside the job's RunContext: instrumentation dual-writes into
         # the job's scope and every log event is stamped run_id=job_id.
         with RunContext(scope=job.scope):
-            _log.info("job.start", job_id=job_id, kind=job.spec["kind"])
-            self.journal.append(
-                "job.started", job_id=job_id, run_id=job_id,
-                kind=job.spec["kind"],
-            )
+            # The started record is durable before any work happens: a
+            # crash mid-build replays as "owed" and resumes on next boot.
+            self._emit("job.started", job, kind=job.spec["kind"])
             # Every job emits at least one progress event (even one
             # that finishes inside the first ticker interval), so
             # stream clients always see accepted -> started ->
@@ -857,6 +806,7 @@ class JobManager:
                 target=_tick, name="repro-service-progress", daemon=True
             )
             ticker.start()
+            result = error = code = None
             try:
                 with cancellation.active(token):
                     token.check()
@@ -867,160 +817,88 @@ class JobManager:
                         checkpoint_dir=self.checkpoint_dir,
                         checkpoint_every=self.checkpoint_every,
                     )
+                status = "completed"
             except cancellation.CancelledError as exc:
-                ticker_stop.set()
-                ticker.join()
-                self._finish_stopped(job, exc)
-                return
+                # A deadline expiry counts as a *failure* (the service
+                # broke its budget promise) with wire code
+                # ``deadline-exceeded``; an operator cancellation gets
+                # its own terminal status.  Either way the last
+                # checkpoint flush is already on disk, so a
+                # resubmission resumes rather than restarts.
+                deadline = isinstance(exc, cancellation.DeadlineExceeded)
+                status = "failed" if deadline else "cancelled"
+                error, code = str(exc), exc.code
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
+                status = "failed"
+                error = f"{type(exc).__name__}: {exc}"
+            finally:
                 ticker_stop.set()
                 ticker.join()
-                with self._lock:
-                    job.status = "failed"
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.finished_at = time.time()
-                    self._freeze_scope_locked(job)
-                    self._update_queue_depth_locked()
-                incr("service.jobs_failed")
-                observe(
-                    "service.job_seconds", job.finished_at - job.started_at
-                )
-                _log.warning("job.failed", job_id=job_id, error=job.error)
-                self.journal.append(
-                    "job.failed", job_id=job_id, run_id=job_id,
-                    error=job.error,
-                )
-                self._ledger_record("failed", job_id, error=job.error)
-                self._dump_flight(job)
-                self._dump_telemetry(job)
-                return
-            ticker_stop.set()
-            ticker.join()
-            with self._lock:
-                job.result = result
-                job.status = "completed"
-                job.finished_at = time.time()
-                self._freeze_scope_locked(job)
-                self._update_queue_depth_locked()
-            incr("service.jobs_completed")
-            observe("service.job_seconds", job.finished_at - job.started_at)
-            _log.info(
-                "job.completed",
-                job_id=job_id,
-                seconds=round(job.finished_at - job.started_at, 3),
-            )
-            self.journal.append(
-                "job.completed",
-                job_id=job_id,
-                run_id=job_id,
-                seconds=round(job.finished_at - job.started_at, 6),
-            )
-            self._ledger_record("completed", job_id)
-            self._dump_telemetry(job)
+            self._finish(job, status, result, error, code)
 
-    def _finish_stopped(self, job: Job, exc: cancellation.CancelledError) -> None:
-        """Terminal transition for a cooperatively stopped job.
-
-        A deadline expiry counts as a *failure* (the service broke its
-        budget promise, the client should see an error) with wire code
-        ``deadline-exceeded``; an operator cancellation gets its own
-        terminal ``cancelled`` status.  Either way the last checkpoint
-        flush is already on disk, so a resubmission resumes rather
-        than restarts.
-        """
-        deadline = isinstance(exc, cancellation.DeadlineExceeded)
+    def _finish(
+        self,
+        job: Job,
+        status: str,
+        result: dict | None,
+        error: str | None,
+        error_code: str | None,
+    ) -> None:
+        """The terminal transition of a job that ran."""
         with self._lock:
-            job.status = "failed" if deadline else "cancelled"
-            job.error = str(exc)
-            job.error_code = exc.code
+            job.status = status
+            job.result = result
+            job.error = error
+            job.error_code = error_code
             job.finished_at = time.time()
             self._freeze_scope_locked(job)
             self._update_queue_depth_locked()
-        observe("service.job_seconds", job.finished_at - job.started_at)
-        if deadline:
-            incr("service.jobs_failed")
-            incr("service.jobs_deadline_exceeded")
-            _log.warning(
-                "job.deadline_exceeded", job_id=job.id, error=job.error
-            )
-            self.journal.append(
-                "job.failed", job_id=job.id, run_id=job.id,
-                error=job.error, error_code=job.error_code,
-            )
-            self._ledger_record(
-                "failed", job.id, error=job.error, error_code=job.error_code
-            )
-            self._dump_flight(job)
-        else:
-            incr("service.jobs_cancelled")
-            _log.info("job.cancelled", job_id=job.id, phase="running")
-            self.journal.append(
-                "job.cancelled", job_id=job.id, run_id=job.id,
+        seconds = job.finished_at - job.started_at
+        observe("service.job_seconds", seconds)
+        if status == "completed":
+            self._emit("job.completed", job, seconds=round(seconds, 6))
+        elif status == "cancelled":
+            self._emit(
+                "job.cancelled", job, record={"error": error},
                 phase="running",
             )
-            self._ledger_record(
-                "cancelled", job.id, error=job.error
-            )
-        self._dump_telemetry(job)
-
-    def _dump_flight(self, job: Job) -> None:
-        """Flight recorder: persist the journal ring beside a failure.
-
-        The ring as it stood when the job failed — submissions, other
-        jobs' interleaved events, the failing job's progress cadence —
-        is exactly the context a post-mortem wants and exactly what a
-        later status query cannot reconstruct.  Best-effort: a disk
-        error is logged, never allowed to mask the job failure itself.
-        """
-        if not self.flight_dir:
-            return
-        try:
-            os.makedirs(self.flight_dir, exist_ok=True)
-            # The terminal job.failed event was already journaled, so
+        else:
+            fields = {"error": error}
+            if error_code is not None:
+                incr("service.jobs_deadline_exceeded")
+                fields["error_code"] = error_code
+            self._emit("job.failed", job, record=fields, **fields)
+            # The terminal job.failed event is already journaled, so
             # the current sequence number is unique per failure — a
             # retried-and-refailed job gets a fresh dump, never a
             # clobbered one.
-            path = os.path.join(
-                self.flight_dir,
+            self._dump(
+                job,
                 f"flight-{job.id[:16]}-{self.journal.last_seq}.json",
+                {
+                    "schema": "repro.flight/1",
+                    "job": job.view(),
+                    "dropped_events": self.journal.dropped,
+                    "events": self.journal.snapshot(),
+                },
             )
-            with open(path, "w") as fh:
-                json.dump(
-                    {
-                        "schema": "repro.flight/1",
-                        "job": job.view(),
-                        "dropped_events": self.journal.dropped,
-                        "events": self.journal.snapshot(),
-                    },
-                    fh,
-                    indent=2,
-                )
-        except OSError as exc:  # pragma: no cover - disk trouble
-            _log.warning(
-                "flight.write_failed", job_id=job.id, error=str(exc)
-            )
-            return
-        _log.info("flight.written", job_id=job.id, path=path)
+        self._dump(job, f"telemetry-{job.id[:16]}.json", job.telemetry)
 
-    def _dump_telemetry(self, job: Job) -> None:
-        """Persist the job's frozen telemetry snapshot beside the
-        flight-recorder dumps (``telemetry-{id16}.json``), so a
-        post-mortem or an offline join against logs/traces does not
-        need the server process alive.  Best-effort, like the flight
-        recorder: a disk error is logged and swallowed.
+    def _dump(self, job: Job, name: str, payload: dict) -> None:
+        """Write one post-mortem JSON file (flight recorder, telemetry).
+
+        Atomic, so a crash mid-dump leaves no torn file under the final
+        name; best-effort, so a disk error is logged and never masks
+        the job's own outcome.
         """
-        if not self.flight_dir or job.telemetry is None:
+        if not self.flight_dir:
             return
+        path = os.path.join(self.flight_dir, name)
         try:
-            os.makedirs(self.flight_dir, exist_ok=True)
-            path = os.path.join(
-                self.flight_dir, f"telemetry-{job.id[:16]}.json"
-            )
-            with open(path, "w") as fh:
-                json.dump(job.telemetry, fh, indent=2)
-        except OSError as exc:  # pragma: no cover - disk trouble
-            _log.warning(
-                "telemetry.write_failed", job_id=job.id, error=str(exc)
-            )
+            durable.ensure_dir(self.flight_dir)
+            durable.atomic_write_text(path, json.dumps(payload, indent=2))
+        except OSError as exc:
+            _log.warning("dump.write_failed", job_id=job.id, path=path,
+                         error=str(exc))
             return
-        _log.debug("telemetry.written", job_id=job.id, path=path)
+        _log.info("dump.written", job_id=job.id, path=path)

@@ -14,6 +14,12 @@ things:
   dumped to disk next to the failure, preserving the lead-up that a
   post-hoc status query cannot reconstruct.
 
+With a :class:`~repro.service.ledger.JobLedger` attached, the journal
+is also the one append path of the durable log: an ``accepted``,
+``started`` or terminal event is written to the ledger (sealed,
+``fsync``'d) *before* it enters the ring, so nothing a client can see
+is lost to a crash.
+
 Capacity is a hard bound: the oldest event is evicted on overflow and
 ``service.events_dropped`` counts the loss (the warm-burst test in
 ``tests/test_service.py`` holds it at zero under the standard burst).  Sequence
@@ -29,28 +35,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.observability import _state
+from repro.observability.log import get_logger
 from repro.observability.metrics import incr
+from repro.service.ledger import RECORD_TYPES, TERMINAL_TYPES, JobLedger
 
-#: Event types the manager emits, in lifecycle order.  ``job.progress``
-#: repeats while a job runs; ``job.completed`` / ``job.failed`` /
-#: ``job.cancelled`` are terminal for their job.  ``job.recovered``
-#: marks a job re-enqueued from the durable ledger on boot, and
-#: ``job.cancel_requested`` marks a running job asked to stop at its
-#: next checkpoint boundary.
-EVENT_TYPES = (
-    "job.accepted",
-    "job.recovered",
-    "job.deduped",
-    "job.started",
-    "job.progress",
-    "job.cancel_requested",
-    "job.completed",
-    "job.failed",
-    "job.cancelled",
-)
+_log = get_logger("service.journal")
 
-#: Event types after which a per-job stream has nothing more to say.
-TERMINAL_EVENTS = frozenset({"job.completed", "job.failed", "job.cancelled"})
+#: Event types the attached ledger records, as ``job.<record type>``.
+DURABLE_EVENTS = frozenset(f"job.{type_}" for type_ in RECORD_TYPES)
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,11 @@ class Event:
     #: events — the manager runs every job as run_id == job_id).
     run_id: str | None = None
     data: dict = field(default_factory=dict)
+
+    @property
+    def terminal(self) -> bool:
+        """True for the last event of its job (completed/failed/cancelled)."""
+        return self.type.removeprefix("job.") in TERMINAL_TYPES
 
     def wire(self) -> dict:
         """The JSON payload carried in an SSE ``data:`` line."""
@@ -85,6 +82,9 @@ class EventJournal:
         if capacity < 1:
             raise ValueError(f"journal capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        #: Durable sink for :data:`DURABLE_EVENTS`, set by the owning
+        #: manager when it has a state directory (None: memory only).
+        self.ledger: JobLedger | None = None
         self._events: deque[Event] = deque()
         self._lock = threading.Lock()
         self._seq = 0
@@ -97,6 +97,7 @@ class EventJournal:
         type_: str,
         job_id: str | None = None,
         run_id: str | None = None,
+        record: dict | None = None,
         **data,
     ) -> Event:
         """Append one event; evicts the oldest when the ring is full.
@@ -105,7 +106,23 @@ class EventJournal:
         thread (None outside any), so events emitted from inside a
         :class:`~repro.observability.context.RunContext` correlate
         without every call site threading the id through.
+
+        A durable event is first written to the attached ledger, with
+        ``record`` as its record fields, outside the ring lock: it is
+        on disk before any reader can see it.  Disk trouble is logged
+        and degrades to in-memory operation — a full disk must not turn
+        a completing job into a failed one.
         """
+        if self.ledger is not None and type_ in DURABLE_EVENTS:
+            try:
+                self.ledger.record(
+                    type_.removeprefix("job."), job_id, **(record or {})
+                )
+            except OSError as exc:  # pragma: no cover - disk trouble
+                _log.warning(
+                    "ledger.write_failed", type=type_, job_id=job_id,
+                    error=str(exc),
+                )
         if run_id is None:
             run_id = _state.current_run_id()
         with self._lock:

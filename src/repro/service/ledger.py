@@ -1,9 +1,9 @@
 """Durable job ledger: a crash-safe WAL of job lifecycle transitions.
 
-The service's answer to the paper's "detect your own marginal cells"
-discipline, applied to its own queue: every accepted job and every
-status transition is appended — before the transition is acted on — to
-a single append-only JSONL file under ``--state-dir``, each line a
+The ledger is the durable sink of the service's event journal
+(:mod:`repro.service.journal`): every ``accepted``, ``started`` and
+terminal event is appended here — before any reader can see it — to a
+single append-only JSONL file under ``--state-dir``, each line a
 sealed :mod:`repro.durable` envelope flushed and ``fsync``'d before the
 append returns.  A SIGKILL at *any* instant therefore leaves a ledger
 that names every job the server had promised to run.
@@ -49,7 +49,8 @@ _log = get_logger("service.ledger")
 #: Lifecycle record types, in the order a job emits them.
 RECORD_TYPES = ("accepted", "started", "completed", "failed", "cancelled")
 
-#: Record types after which a job owes nothing.
+#: Record types after which a job owes nothing — also the terminal job
+#: statuses and, as ``job.<type>``, the terminal journal events.
 TERMINAL_TYPES = frozenset({"completed", "failed", "cancelled"})
 
 #: Ledger file name under the state directory.
@@ -69,13 +70,7 @@ class JobLedger:
     """
 
     def __init__(self, state_dir: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(state_dir)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except FileExistsError:
-            raise NotADirectoryError(
-                f"state dir {self.directory} exists and is not a directory"
-            ) from None
+        self.directory = durable.ensure_dir(state_dir)
         self.path = self.directory / FILENAME
         self._lock = threading.Lock()
 
@@ -90,17 +85,10 @@ class JobLedger:
         """
         if type_ not in RECORD_TYPES:
             raise ValueError(f"unknown ledger record type {type_!r}")
-        entry: dict = {
-            "format": _FORMAT,
-            "type": type_,
-            "job_id": job_id,
-            "ts": time.time(),
-        }
-        entry.update(fields)
-        line = json.dumps(durable.seal(entry), sort_keys=True, default=float)
+        line = _line(type_, job_id, **fields)
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
         incr("service.ledger_records")
@@ -134,16 +122,24 @@ class JobLedger:
             return states, skipped
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                entry = self._decode_line(line, lineno)
-                if entry is None:
+                try:
+                    entry = json.loads(line)
+                    durable.verify(entry)
+                    if entry.get("type") not in RECORD_TYPES or not isinstance(
+                        entry.get("job_id"), str
+                    ):
+                        raise durable.CorruptStateError("malformed record")
+                except ValueError as exc:  # undecodable JSON or bad seal
+                    _log.warning(
+                        "ledger.corrupt_line", path=str(self.path),
+                        line=lineno, reason=str(exc),
+                    )
                     skipped += 1
                     continue
-                job_id = entry["job_id"]
                 state = states.setdefault(
-                    job_id,
+                    entry["job_id"],
                     {
                         "status": None,
                         "spec": None,
@@ -162,41 +158,6 @@ class JobLedger:
             )
         return states, skipped
 
-    def _decode_line(self, line: str, lineno: int) -> dict | None:
-        try:
-            sealed = json.loads(line)
-        except json.JSONDecodeError:
-            _log.warning(
-                "ledger.corrupt_line",
-                path=str(self.path),
-                line=lineno,
-                reason="undecodable JSON",
-            )
-            return None
-        try:
-            durable.verify(sealed)
-        except durable.CorruptStateError as exc:
-            _log.warning(
-                "ledger.corrupt_line",
-                path=str(self.path),
-                line=lineno,
-                reason=str(exc),
-            )
-            return None
-        entry = sealed
-        if (
-            entry.get("type") not in RECORD_TYPES
-            or not isinstance(entry.get("job_id"), str)
-        ):
-            _log.warning(
-                "ledger.corrupt_line",
-                path=str(self.path),
-                line=lineno,
-                reason="malformed record",
-            )
-            return None
-        return entry
-
     # -- compaction --------------------------------------------------------
     def compact(self, live: dict[str, dict]) -> None:
         """Atomically rewrite the ledger to one record per live job.
@@ -208,23 +169,26 @@ class JobLedger:
         goes through :func:`repro.durable.atomic_write_text` — a crash
         mid-compaction leaves the previous ledger intact.
         """
-        lines = []
-        for job_id, state in sorted(live.items()):
-            entry = {
-                "format": _FORMAT,
-                "type": "accepted",
-                "job_id": job_id,
-                "ts": time.time(),
-                "spec": state["spec"],
-                "submissions": state["submissions"],
-                "created_at": state["created_at"],
-            }
-            lines.append(
-                json.dumps(durable.seal(entry), sort_keys=True, default=float)
+        text = "".join(
+            _line(
+                "accepted", job_id, spec=state["spec"],
+                submissions=state["submissions"],
+                created_at=state["created_at"],
             )
-        text = "".join(line + "\n" for line in lines)
+            for job_id, state in sorted(live.items())
+        )
         with self._lock:
             durable.atomic_write_text(self.path, text)
         _log.info(
             "ledger.compacted", path=str(self.path), live_jobs=len(live)
         )
+
+
+def _line(type_: str, job_id: str, **fields: object) -> str:
+    """One sealed ledger record as a JSONL line."""
+    entry = {
+        "format": _FORMAT, "type": type_, "job_id": job_id,
+        "ts": time.time(), **fields,
+    }
+    line = json.dumps(durable.seal(entry), sort_keys=True, default=float)
+    return line + "\n"

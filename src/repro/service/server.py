@@ -53,8 +53,8 @@ from repro.observability import SCHEMA, registry
 from repro.observability.export import render_prometheus
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe, set_gauge
-from repro.service.jobs import TERMINAL_STATUSES, AdmissionError, JobManager
-from repro.service.journal import TERMINAL_EVENTS
+from repro.service.jobs import AdmissionError, JobManager
+from repro.service.ledger import TERMINAL_TYPES
 from repro.service.spec import SpecError
 
 _log = get_logger("service.http")
@@ -440,7 +440,7 @@ class ServiceServer:
             for event in events:
                 writer.write(_sse_block(event.seq, event.type, event.wire()))
                 cursor = event.seq
-                if event.type in TERMINAL_EVENTS:
+                if event.terminal:
                     terminal_sent = True
             if events:
                 next_keepalive = loop.time() + STREAM_KEEPALIVE_SECONDS
@@ -461,7 +461,7 @@ class ServiceServer:
                     first
                     and not events
                     and job is not None
-                    and job.status in TERMINAL_STATUSES
+                    and job.status in TERMINAL_TYPES
                 ):
                     return
             first = False

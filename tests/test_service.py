@@ -30,7 +30,7 @@ from repro.service.jobs import (
     QueueFullError,
 )
 from repro.service.journal import EventJournal
-from repro.service.ledger import JobLedger
+from repro.service.ledger import RECORD_TYPES, JobLedger
 from repro.service.loadgen import (
     ClientRetryPolicy,
     _follow,
@@ -374,6 +374,58 @@ class TestJobLedger:
             JobLedger(tmp_path).record("paused", "job-a")
 
 
+def test_ledger_line_is_durable_before_event_is_visible(
+    metrics_on, tmp_path, monkeypatch
+):
+    """Every durable transition (accepted, started, completed, failed,
+    cancelled) is on disk before its event is visible to a reader of
+    the journal (the SSE streams)."""
+    managers = []
+    recorded = []
+    original = JobLedger.record
+
+    def record(self, type_, job_id, **fields):
+        original(self, type_, job_id, **fields)
+        recorded.append((type_, job_id, managers[0].journal.last_seq))
+
+    monkeypatch.setattr(JobLedger, "record", record)
+
+    def runner(spec, **_opts):
+        if spec["seed"] == 12:
+            raise RuntimeError("boom")
+        deadline = time.monotonic() + 60
+        while spec["seed"] == 13 and time.monotonic() < deadline:
+            cancellation.check_active()
+            time.sleep(0.01)
+        return {"ok": True}
+
+    manager = JobManager(runner=runner, state_dir=str(tmp_path))
+    managers.append(manager)
+    try:
+        done, _ = manager.submit(dict(TINY_SPEC, seed=11))
+        wait_for(lambda: manager.get(done.id).status == "completed")
+        failed, _ = manager.submit(dict(TINY_SPEC, seed=12))
+        wait_for(lambda: manager.get(failed.id).status == "failed")
+        stopped, _ = manager.submit(dict(TINY_SPEC, seed=13))
+        wait_for(lambda: manager.get(stopped.id).status == "running")
+        manager.cancel(stopped.id)
+        wait_for(lambda: manager.get(stopped.id).status == "cancelled")
+    finally:
+        manager.shutdown()
+    seen = {(type_, job_id): seq for type_, job_id, seq in recorded}
+    durable = [
+        event
+        for event in manager.journal.after(0)[0]
+        if event.type.removeprefix("job.") in RECORD_TYPES
+    ]
+    assert {event.type.removeprefix("job.") for event in durable} == set(
+        RECORD_TYPES
+    )
+    for event in durable:
+        recorded_at = seen[(event.type.removeprefix("job."), event.job_id)]
+        assert recorded_at < event.seq, event.type
+
+
 class TestAdmissionControl:
     def test_queue_full_rejects_with_retry_after(self, metrics_on):
         started, release = threading.Event(), threading.Event()
@@ -687,6 +739,36 @@ class TestEventJournal:
         with pytest.raises(ValueError):
             EventJournal(capacity=0)
 
+    def test_durable_events_reach_the_ledger_first(self):
+        """The ledger line for a durable event is written before the
+        event enters the ring, and outside the ring lock."""
+
+        class SnapshotLedger:
+            def __init__(self):
+                self.records = []
+
+            def record(self, type_, job_id, **fields):
+                assert not journal._lock.locked()
+                self.records.append((type_, job_id, fields, journal.last_seq))
+
+        ledger = SnapshotLedger()
+        journal = EventJournal(capacity=8)
+        journal.ledger = ledger
+        journal.append(
+            "job.accepted", job_id="a", record={"spec": {"k": 1}}, kind="t"
+        )
+        journal.append("job.progress", job_id="a", cells_done=1)
+        journal.append("job.started", job_id="a")
+        events, _ = journal.after(0)
+        assert [e.type for e in events] == [
+            "job.accepted", "job.progress", "job.started",
+        ]
+        assert events[0].data == {"kind": "t"}
+        assert ledger.records == [
+            ("accepted", "a", {"spec": {"k": 1}}, 0),
+            ("started", "a", {}, 2),
+        ]
+
 
 class TestFlightRecorder:
     def test_failed_job_dumps_journal_to_disk(self, metrics_on, tmp_path):
@@ -714,6 +796,65 @@ class TestFlightRecorder:
         assert "job.started" in types
         assert types[-1] == "job.failed"
         assert "solver exploded" in doc["events"][-1]["data"]["error"]
+
+    def test_interrupted_dump_leaves_no_torn_file(
+        self, metrics_on, tmp_path, monkeypatch
+    ):
+        """A dump cut off mid-write (here: the disk fills after half
+        the bytes) leaves nothing under the final name, and the job's
+        terminal state does not depend on it."""
+        import builtins
+        import errno
+        import io
+
+        real_open = builtins.open
+        cut = []
+
+        class DiskFull:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, text):
+                self._handle.write(text[: len(text) // 2])
+                self._handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+        def filling_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            name = os.path.basename(os.fspath(file))
+            if "w" in mode and name.startswith(("flight-", "telemetry-")):
+                cut.append(name)
+                return DiskFull(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", filling_open)
+        monkeypatch.setattr(io, "open", filling_open)
+
+        def runner(spec, **_opts):
+            raise RuntimeError("solver exploded")
+
+        manager = JobManager(runner=runner, flight_dir=str(tmp_path))
+        try:
+            job, _ = manager.submit(dict(TINY_SPEC))
+            wait_for(lambda: len(cut) == 2, timeout=30)
+        finally:
+            manager.shutdown()
+        assert not list(tmp_path.glob("flight-*.json"))
+        assert not list(tmp_path.glob("telemetry-*.json"))
+        job = manager.get(job.id)
+        assert job.status == "failed"
+        assert "solver exploded" in job.error
+        events, _ = manager.journal.after(0, job_id=job.id)
+        assert events[-1].type == "job.failed"
 
     def test_no_flight_dir_means_no_dump(self, metrics_on, tmp_path):
         def runner(spec, **_opts):

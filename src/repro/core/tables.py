@@ -32,7 +32,7 @@ from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe
 from repro.observability.tracing import trace
-from repro.parallel.cache import fingerprint
+from repro.parallel.cache import cached_surface, fingerprint
 from repro.sram.metrics import OperatingConditions
 from repro.stats.montecarlo import MonteCarloResult
 from repro.technology.corners import ProcessCorner
@@ -120,56 +120,36 @@ class FailureProbabilityTable:
     def _build(self) -> None:
         start = time.perf_counter()
         key = self._cache_key()
-        if self._cache is not None:
-            stored = self._cache.get("failure-table", key)
-            if stored is not None:
-                for name, values in stored["log10_probability"].items():
-                    self._splines[name] = PchipInterpolator(
-                        self.grid, np.array(values, dtype=float)
-                    )
-                if stored.get("diagnostics") is not None:
-                    self.diagnostics = BatchDiagnostics.from_dict(
-                        stored["diagnostics"]
-                    )
-                    # A warm run still reports the health persisted at
-                    # build time, so its verdict matches the cold run.
-                    diagnostics.record_batch(
-                        f"table[vbody={self.conditions.vbody_n:+.3f}]",
-                        self.diagnostics,
-                    )
-                _log.info("table.build.cached", grid=self.grid.size)
-                return
-        _log.info(
-            "table.build.start",
-            grid=self.grid.size,
-            n_samples=self.analyzer.n_samples,
-            vbody=self.conditions.vbody_n,
+
+        def build() -> tuple[dict, BatchDiagnostics]:
+            _log.info(
+                "table.build.start",
+                grid=self.grid.size,
+                n_samples=self.analyzer.n_samples,
+                vbody=self.conditions.vbody_n,
+            )
+            results = self._compute_grid(key)
+            log_p = {name: [] for name in MECHANISMS + ("any",)}
+            for probs in results:
+                for name in MECHANISMS + ("any",):
+                    p = max(probs[name].estimate, _P_FLOOR)
+                    log_p[name].append(float(np.log10(min(p, 1.0))))
+            self._record_diagnostics(results)
+            _log.info(
+                "table.build.done",
+                grid=self.grid.size,
+                seconds=round(time.perf_counter() - start, 3),
+            )
+            return log_p, self.diagnostics
+
+        log_p, self.diagnostics = cached_surface(
+            self._cache, "failure-table", key, build,
+            f"table[vbody={self.conditions.vbody_n:+.3f}]",
+            _log, "table.build.cached", grid=self.grid.size,
         )
-        results = self._compute_grid(key)
-        log_p = {name: np.empty(self.grid.size) for name in MECHANISMS + ("any",)}
-        for i, probs in enumerate(results):
-            for name in MECHANISMS + ("any",):
-                p = max(probs[name].estimate, _P_FLOOR)
-                log_p[name][i] = np.log10(min(p, 1.0))
         for name, values in log_p.items():
-            self._splines[name] = PchipInterpolator(self.grid, values)
-        self._record_diagnostics(results)
-        _log.info(
-            "table.build.done",
-            grid=self.grid.size,
-            seconds=round(time.perf_counter() - start, 3),
-        )
-        if self._cache is not None:
-            self._cache.put(
-                "failure-table",
-                key,
-                {
-                    "log10_probability": {
-                        name: [float(v) for v in values]
-                        for name, values in log_p.items()
-                    },
-                    "diagnostics": self.diagnostics.as_dict(),
-                },
+            self._splines[name] = PchipInterpolator(
+                self.grid, np.array(values, dtype=float)
             )
 
     def _compute_grid(self, key: dict) -> list:

@@ -330,12 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.run_id is not None and not args.run_id.strip():
         parser.error("--run-id must be a non-empty string")
     if args.run_id is not None:
-        # Scope the whole process lifetime (the CLI is one run): every
-        # log event below — and in every pool worker — carries
-        # run_id=<ID>, with or without metric collection.
-        observability.context.activate(
-            observability.RunScope(args.run_id)
-        )
+        # Name the root scope (the CLI is one run): every log event
+        # below — and in every pool worker — carries run_id=<ID>, with
+        # or without metric collection.
+        observability.context.name_root(args.run_id)
     collect = args.metrics_out is not None
     profiling = args.profile_out is not None
     timeline = args.trace_out is not None

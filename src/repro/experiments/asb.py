@@ -33,7 +33,7 @@ from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe
 from repro.observability.tracing import trace
-from repro.parallel.cache import fingerprint
+from repro.parallel.cache import cached_surface, fingerprint
 from repro.power.standby import die_standby_power
 from repro.sram.array import ArrayOrganization, FunctionalMemoryArray
 from repro.stats.distributions import NormalDistribution
@@ -113,89 +113,72 @@ class HoldProbabilityTable:
             "corner_grid": [float(x) for x in self.corner_grid],
             "vsb_grid": [float(x) for x in self.vsb_grid],
         }
-        if ctx.result_cache is not None:
-            stored = ctx.result_cache.get("hold-table", key)
-            if stored is not None:
-                if stored.get("diagnostics") is not None:
-                    self.diagnostics = BatchDiagnostics.from_dict(
-                        stored["diagnostics"]
-                    )
-                    # Warm reloads keep reporting build-time health.
-                    diagnostics.record_batch("hold_table", self.diagnostics)
-                _log.info(
-                    "hold_table.build.cached",
-                    corners=self.corner_grid.size,
-                    vsb_levels=self.vsb_grid.size,
+
+        def build() -> tuple[list, BatchDiagnostics]:
+            _log.info(
+                "hold_table.build.start",
+                corners=self.corner_grid.size,
+                vsb_levels=self.vsb_grid.size,
+                points=self.corner_grid.size * self.vsb_grid.size,
+            )
+            corners = []
+            conditions = []
+            for dvt in self.corner_grid:
+                for vsb in self.vsb_grid:
+                    corners.append(ProcessCorner(float(dvt)))
+                    conditions.append(ctx.asb_conditions(float(vsb)))
+
+            def compute(indices):
+                return analyzer.hold_failure_probability_batch(
+                    [corners[i] for i in indices],
+                    [conditions[i] for i in indices],
+                    executor=ctx.executor,
                 )
-                return np.array(stored["log10_probability"], dtype=float)
-        _log.info(
-            "hold_table.build.start",
-            corners=self.corner_grid.size,
-            vsb_levels=self.vsb_grid.size,
-            points=self.corner_grid.size * self.vsb_grid.size,
-        )
-        corners = []
-        conditions = []
-        for dvt in self.corner_grid:
-            for vsb in self.vsb_grid:
-                corners.append(ProcessCorner(float(dvt)))
-                conditions.append(ctx.asb_conditions(float(vsb)))
 
-        def compute(indices):
-            return analyzer.hold_failure_probability_batch(
-                [corners[i] for i in indices],
-                [conditions[i] for i in indices],
-                executor=ctx.executor,
-            )
-
-        # Each (corner, vsb) node seeds its own RNG stream from its key,
-        # so a resumed build is bit-identical to a fresh one.
-        results = resumable_map(
-            getattr(ctx, "checkpoint_store", None),
-            "hold-table",
-            fingerprint(key),
-            len(corners),
-            compute,
-            dataclasses.asdict,
-            lambda raw: MonteCarloResult(**raw),
-        )
-        self.diagnostics = diagnostics.summarize(results)
-        for result in results:
-            diagnostics.record("hold_table", result)
-        incr("hold_table.unconverged_cells", self.diagnostics.unconverged)
-        if self.diagnostics.worst_ci_halfwidth is not None:
-            observe(
-                "hold_table.worst_ci_halfwidth",
-                self.diagnostics.worst_ci_halfwidth,
-            )
-        if self.diagnostics.unconverged:
-            _log.warning(
-                "hold_table.build.unconverged",
-                nodes=self.diagnostics.unconverged,
-                points=len(results),
-                min_ess=round(self.diagnostics.min_ess, 1),
-            )
-        log_p = np.array(
-            [np.log10(min(max(r.estimate, _P_FLOOR), 1.0)) for r in results]
-        ).reshape(self.corner_grid.size, self.vsb_grid.size)
-        # Raising the source bias can only degrade the retention margin,
-        # so the true surface is monotone increasing in VSB; estimates
-        # below the Monte-Carlo resolution jitter around the floor, and
-        # a running max restores the invariant the bisection policies
-        # (vsb_for_target, adaptive_vsb) rely on.
-        log_p = np.maximum.accumulate(log_p, axis=1)
-        if ctx.result_cache is not None:
-            ctx.result_cache.put(
+            # Each (corner, vsb) node seeds its own RNG stream from its key,
+            # so a resumed build is bit-identical to a fresh one.
+            results = resumable_map(
+                getattr(ctx, "checkpoint_store", None),
                 "hold-table",
-                key,
-                {
-                    "log10_probability": [
-                        [float(v) for v in row] for row in log_p
-                    ],
-                    "diagnostics": self.diagnostics.as_dict(),
-                },
+                fingerprint(key),
+                len(corners),
+                compute,
+                dataclasses.asdict,
+                lambda raw: MonteCarloResult(**raw),
             )
-        return log_p
+            self.diagnostics = diagnostics.summarize(results)
+            for result in results:
+                diagnostics.record("hold_table", result)
+            incr("hold_table.unconverged_cells", self.diagnostics.unconverged)
+            if self.diagnostics.worst_ci_halfwidth is not None:
+                observe(
+                    "hold_table.worst_ci_halfwidth",
+                    self.diagnostics.worst_ci_halfwidth,
+                )
+            if self.diagnostics.unconverged:
+                _log.warning(
+                    "hold_table.build.unconverged",
+                    nodes=self.diagnostics.unconverged,
+                    points=len(results),
+                    min_ess=round(self.diagnostics.min_ess, 1),
+                )
+            log_p = np.array(
+                [np.log10(min(max(r.estimate, _P_FLOOR), 1.0)) for r in results]
+            ).reshape(self.corner_grid.size, self.vsb_grid.size)
+            # Raising the source bias can only degrade the retention margin,
+            # so the true surface is monotone increasing in VSB; estimates
+            # below the Monte-Carlo resolution jitter around the floor, and
+            # a running max restores the invariant the bisection policies
+            # (vsb_for_target, adaptive_vsb) rely on.
+            log_p = np.maximum.accumulate(log_p, axis=1)
+            return [[float(v) for v in row] for row in log_p], self.diagnostics
+
+        log_p, self.diagnostics = cached_surface(
+            ctx.result_cache, "hold-table", key, build, "hold_table",
+            _log, "hold_table.build.cached",
+            corners=self.corner_grid.size, vsb_levels=self.vsb_grid.size,
+        )
+        return np.array(log_p, dtype=float)
 
     def probability(self, corner: float, vsb: float) -> float:
         """Interpolated hold failure probability at (corner, vsb)."""

@@ -3,15 +3,20 @@
 Three instruments, one switch:
 
 * **metrics** (:mod:`repro.observability.metrics`) — counters, gauges
-  and histograms in a process-wide :class:`MetricsRegistry` (Monte-
-  Carlo sample totals, cache hits/misses, dies processed, effective-
-  sample-size fractions, ...);
+  and histograms in a :class:`MetricsRegistry` (Monte-Carlo sample
+  totals, cache hits/misses, dies processed, effective-sample-size
+  fractions, ...);
 * **tracing** (:mod:`repro.observability.tracing`) — ``trace(name)``
   spans aggregating into a hierarchical wall-time tree that survives
   the :class:`~repro.parallel.executor.ParallelExecutor` process
   boundary (workers snapshot, the parent merges);
 * **logging** (:mod:`repro.observability.log`) — event-style
   structured logs, human one-liners or JSON lines.
+
+Measurements land in one place: the active run scope
+(:mod:`repro.observability.context`) or, outside any run, the
+process-wide collectors — the root scope, into which every run scope
+folds when it exits.
 
 Everything is **off by default** and costs a single flag check per
 instrumented call site, so the library's numbers and the timing-
@@ -124,11 +129,20 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop all collected metrics, traces, diagnostics, and profiles."""
+    """Drop all collected metrics, traces, diagnostics, and profiles.
+
+    An armed timeline is re-armed fresh (same capacity, new epoch)
+    rather than dropped — so a worker that inherited the armed state
+    at fork time (``worker_begin`` resets before running the task)
+    records its own task-local timeline, and the parent can merge it
+    under a new track.
+    """
     registry.reset()
     tracer.reset()
     diagnostics.recorder.reset()
     reset_profiles()
+    if tracing.timeline is not None:
+        enable_timeline(tracing.timeline.capacity)
 
 
 def configure(
@@ -151,18 +165,16 @@ def configure(
 
 
 def snapshot() -> dict:
-    """Everything collected so far, as a JSON-serialisable dict.
+    """The process totals so far, as a JSON-serialisable dict.
 
-    ``diagnostics`` (per-scope estimator health — CI half-widths,
-    effective sample sizes, convergence verdicts) is an additive block
-    under the unchanged ``repro.telemetry/1`` schema.
+    The root scope plus every run scope still active
+    (:func:`repro.observability.context.totals`), so a live service's
+    totals include its running jobs.  ``diagnostics`` (per-scope
+    estimator health — CI half-widths, effective sample sizes,
+    convergence verdicts) is an additive block under the unchanged
+    ``repro.telemetry/1`` schema.
     """
-    return {
-        "schema": SCHEMA,
-        "metrics": registry.snapshot(),
-        "trace": tracer.snapshot(),
-        "diagnostics": diagnostics.recorder.snapshot(),
-    }
+    return {"schema": SCHEMA, **context.totals()}
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +187,13 @@ def worker_begin(run_id: str | None = None) -> None:
     clears any state inherited from the parent at fork time, so the
     snapshot taken at task end contains exactly that task's telemetry.
     ``run_id`` is the parent's active run id, shipped across the
-    pickle boundary in the task payload; installing it here keeps
-    worker-side log events stamped with the run that owns the fan-out
-    (and works identically under fork and spawn start methods).
+    pickle boundary in the task payload; naming the worker's root with
+    it keeps worker-side log events stamped with the run that owns the
+    fan-out (and works identically under fork and spawn start methods).
     """
     reset()
     _state.set_enabled(True)
-    context.enter_worker_scope(run_id)
+    context.name_root(run_id)
 
 
 def worker_snapshot() -> dict:
@@ -192,35 +204,24 @@ def worker_snapshot() -> dict:
     state; ``worker_begin``'s reset then re-arms a fresh task-local
     timeline).
     """
-    return {
-        "metrics": registry.snapshot(),
-        "trace": tracer.snapshot(),
-        "diagnostics": diagnostics.recorder.snapshot(),
-        "timeline": timeline_snapshot(),
-    }
+    return {**context.collected(_state.root), "timeline": timeline_snapshot()}
 
 
 def merge_worker(snapshot_dict: dict) -> None:
-    """Absorb a :func:`worker_snapshot` into the parent's collectors.
+    """Absorb a :func:`worker_snapshot` into the active scope.
 
-    Metrics accumulate into the process-wide registry; the worker's
-    trace subtree is grafted under the span open at the call site, so
-    fanned-out work lands in the tree exactly where the fan-out
-    happened.  The merge runs on the thread that owns the fan-out, so
-    when that thread is inside a :class:`RunContext` the same snapshot
-    also lands in the owning scope — worker telemetry routes back to
-    the run that dispatched it, not just to the process totals.
+    The merge runs on the thread that owns the fan-out, so worker
+    telemetry lands where that thread's own instruments write: its run
+    scope, or the root outside any run.  The worker's trace subtree is
+    grafted under the span open at the call site, so fanned-out work
+    lands in the tree exactly where the fan-out happened.
     """
-    registry.merge(snapshot_dict["metrics"])
-    tracer.merge_at_current(snapshot_dict["trace"])
+    target = _state.scope_var.get()
+    target.registry.merge(snapshot_dict["metrics"])
+    target.tracer.merge_at_current(snapshot_dict["trace"])
     # Additive keys: snapshots from older workers simply lack them.
-    diagnostics.recorder.merge(snapshot_dict.get("diagnostics", {}))
+    target.recorder.merge(snapshot_dict.get("diagnostics", {}))
     merge_timeline(snapshot_dict.get("timeline"))
-    scope = context.current_scope()
-    if scope is not None:
-        scope.registry.merge(snapshot_dict["metrics"])
-        scope.tracer.merge_at_current(snapshot_dict["trace"])
-        scope.recorder.merge(snapshot_dict.get("diagnostics", {}))
 
 
 __all__ = [

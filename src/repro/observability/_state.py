@@ -1,36 +1,46 @@
-"""The process-wide observability on/off switch and the active scope.
+"""The collection switch, the root scope, and where a measurement lands.
 
-Isolated in its own module so that :mod:`repro.observability.metrics`
-and :mod:`repro.observability.tracing` can both read it without
-importing each other.  The flag is deliberately a bare module global:
+A leaf module, so every instrument module can read it without
+importing the others.  The flag is deliberately a bare module global:
 the no-op fast path of every instrument is a single attribute load and
-truth test, which is what keeps instrumented hot paths free (measured
-in ``tests/test_observability.py``) when telemetry is off.
+truth test, which keeps instrumented hot paths free when telemetry is
+off (measured in ``tests/test_observability.py``).
 
-The *run scope* lives here for the same reason: a
-:class:`contextvars.ContextVar` holding the active
-:class:`~repro.observability.context.RunScope` (or ``None``), read by
-the guarded metric/trace/diagnostic helpers (dual-write) and by the
-structured-log emitter (run_id stamping).  Keeping the variable in
-this leaf module lets every instrument module reach it without
-importing :mod:`repro.observability.context` (which imports them).
+Every instrument writes to one collector set: the scope
+:data:`scope_var` holds in the calling context — the active
+:class:`~repro.observability.context.RunScope` inside a ``RunContext``,
+else the **root**, whose collectors are the process-wide ones.  The
+root's ``run_id`` is ``None`` unless ``--run-id`` or a pool worker's
+inherited id names it; the log emitter stamps the current one.
 """
 
 from __future__ import annotations
 
 import contextvars
 
+
+class Scope:
+    """A ``run_id`` plus the collectors a measurement lands in."""
+
+    __slots__ = ("run_id", "registry", "tracer", "recorder")
+
+
+#: The root scope.  Its collectors are the process-wide ones, bound by
+#: the instrument modules as they are imported.
+root = Scope()
+root.run_id = None
+
 #: Collection switch.  False (the default) means every ``incr`` /
 #: ``observe`` / ``trace`` call degenerates to a flag check; tier-1
 #: tests and untraced benchmark runs stay in this mode.
 enabled: bool = False
 
-#: The active run scope (a ``RunScope`` instance or ``None``).  Being a
+#: The scope every instrument writes to in this context.  Being a
 #: context variable, each thread — and each ``contextvars.Context`` —
 #: sees its own value, which is what isolates concurrently-running
 #: service jobs from each other.
 scope_var: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_run_scope", default=None
+    "repro_run_scope", default=root
 )
 
 
@@ -41,11 +51,11 @@ def set_enabled(value: bool) -> None:
 
 
 def current_scope():
-    """The active run scope in this context, or ``None``."""
-    return scope_var.get()
+    """The active run scope in this context, or ``None`` at the root."""
+    scope = scope_var.get()
+    return None if scope is root else scope
 
 
 def current_run_id() -> str | None:
-    """The active scope's run id, or ``None`` outside any scope."""
-    scope = scope_var.get()
-    return scope.run_id if scope is not None else None
+    """The active scope's run id, else the root's (``None`` unless named)."""
+    return scope_var.get().run_id

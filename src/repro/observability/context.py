@@ -1,41 +1,40 @@
 """Run-scoped telemetry: a ``run_id`` plus an isolated collection scope.
 
-The process-wide registry answers *what has this process done*; a
-:class:`RunScope` answers *what did this run do* — the question a
-service fielding concurrent jobs ("why was job X slow?") needs an
-exact, isolated answer to.  A scope bundles a ``run_id`` with its own
-:class:`~repro.observability.metrics.MetricsRegistry`,
-:class:`~repro.observability.tracing.Tracer`, and
-:class:`~repro.observability.diagnostics.DiagnosticsRecorder`; while a
-scope is active (via :class:`RunContext`), every guarded instrument
-helper **dual-writes**: the process-global collectors keep their
-whole-process totals, and the scope receives an exact copy of the
-run's own measurements.
+The process-wide collectors are the **root** scope: *what has this
+process done*.  A :class:`RunScope` is a child scope — *what did this
+run do*, the question a service fielding concurrent jobs ("why was
+job X slow?") needs an exact, isolated answer to.  It bundles a
+``run_id`` with its own metrics registry, tracer and diagnostics
+recorder.  While a :class:`RunContext` has it active, every
+instrument writes to the scope alone; when the context exits, the
+scope is folded into the root (its trace tree grafted at the root
+node).  Process totals (:func:`totals`) are the root plus every scope
+still active, read under the same lock as each exit, so a running
+job counts exactly once from its first write on.
 
 Activation rides on a :class:`contextvars.ContextVar`
 (:data:`repro.observability._state.scope_var`), so scopes are isolated
-per thread the way request telemetry is in an inference server: the
-:class:`~repro.service.jobs.JobManager` runs each job inside
-``RunContext(run_id=job_id)`` on its own worker thread, and two jobs
-executing concurrently each see only their own counters, spans, and
-diagnostics.  Across the
+per thread: the :class:`~repro.service.jobs.JobManager` runs each job
+inside ``RunContext(run_id=job_id)`` on its own worker thread, and two
+jobs executing concurrently each see only their own counters, spans,
+and diagnostics.  Across the
 :class:`~repro.parallel.executor.ParallelExecutor` fork/pickle
-boundary the run_id travels in the task payload and the worker's
-snapshot is merged back into both the global collectors *and* the
-scope that owned the fan-out (the merge happens on the owning thread,
-where the context variable is still set).
+boundary the run_id travels in the task payload and names the
+worker's root (:func:`name_root`); the worker's snapshot is merged
+back on the thread that owns the fan-out, so into its scope.
 
-Beyond attribution, the active run_id is stamped onto every structured
-log event (``run_id=`` in both the human and ``--log-json``
-renderings) and onto every service journal/SSE event — one key to join
-logs, traces, metrics, and events of a single run.  Log stamping works
-even while metric collection is off (``--log-json --run-id smoke``
-without ``--metrics-out``); the scope's collectors simply stay empty.
+The active run_id is also stamped onto every structured log event and
+every service journal/SSE event — one key to join logs, traces,
+metrics, and events of a single run — even while metric collection is
+off (``--log-json --run-id smoke`` without ``--metrics-out``).
 """
 
 from __future__ import annotations
 
+import threading
+
 from repro.observability import _state
+from repro.observability._state import current_run_id, current_scope  # noqa: F401
 from repro.observability.diagnostics import DiagnosticsRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
@@ -44,11 +43,17 @@ from repro.observability.tracing import Tracer
 #: :data:`repro.observability.SCHEMA`, which re-exports it).
 SCHEMA = "repro.telemetry/1"
 
+#: Guards :data:`_active` together with each exit's fold into the root.
+_lock = threading.Lock()
 
-class RunScope:
+#: Scopes inside a :class:`RunContext` right now, in entry order.
+_active: list["RunScope"] = []
+
+
+class RunScope(_state.Scope):
     """One run's identity plus its isolated telemetry collectors."""
 
-    __slots__ = ("run_id", "registry", "tracer", "recorder")
+    __slots__ = ("_entered",)
 
     def __init__(self, run_id: str) -> None:
         if not isinstance(run_id, str):
@@ -59,6 +64,7 @@ class RunScope:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         self.recorder = DiagnosticsRecorder()
+        self._entered = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunScope(run_id={self.run_id!r})"
@@ -76,13 +82,7 @@ class RunScope:
         report``, the export helpers) reads a per-run snapshot
         unchanged.
         """
-        return {
-            "schema": SCHEMA,
-            "run_id": self.run_id,
-            "metrics": self.registry.snapshot(),
-            "trace": self.tracer.snapshot(),
-            "diagnostics": self.recorder.snapshot(),
-        }
+        return {"schema": SCHEMA, "run_id": self.run_id, **collected(self)}
 
 
 class RunContext:
@@ -92,7 +92,11 @@ class RunContext:
     scope=existing)`` adopts one created earlier (how the service keeps
     a handle on a job's scope while the job thread runs inside it).
     Entry sets the context variable and returns the scope; exit
-    restores whatever was active before, so contexts nest.
+    restores whatever was active before, so contexts nest, and folds
+    the scope into the root — an inner scope's work lands in the
+    root, not in the outer scope.  A scope runs in one context, once:
+    entering it again raises :class:`RuntimeError`, so it is folded
+    into the root exactly once.
     """
 
     __slots__ = ("scope", "_token")
@@ -106,6 +110,13 @@ class RunContext:
         self._token = None
 
     def __enter__(self) -> RunScope:
+        with _lock:
+            if self.scope._entered:
+                raise RuntimeError(
+                    f"run scope {self.scope.run_id!r} was already entered"
+                )
+            self.scope._entered = True
+            _active.append(self.scope)
         self._token = _state.scope_var.set(self.scope)
         return self.scope
 
@@ -113,38 +124,53 @@ class RunContext:
         if self._token is not None:
             _state.scope_var.reset(self._token)
             self._token = None
+            with _lock:
+                _active.remove(self.scope)
+                _fold(_state.root, self.scope)
         return False
 
 
-def current_scope() -> RunScope | None:
-    """The active scope in this context, or ``None``."""
-    return _state.scope_var.get()
+def collected(scope: _state.Scope) -> dict:
+    """``scope``'s ``metrics``, ``trace`` and ``diagnostics`` snapshots."""
+    return {
+        "metrics": scope.registry.snapshot(),
+        "trace": scope.tracer.snapshot(),
+        "diagnostics": scope.recorder.snapshot(),
+    }
 
 
-def current_run_id() -> str | None:
-    """The active run id, or ``None`` outside any :class:`RunContext`."""
-    return _state.current_run_id()
-
-
-def activate(scope: RunScope | None):
-    """Set ``scope`` active for the rest of this context; returns the
-    reset token.
-
-    The non-scoped sibling of :class:`RunContext`, for call sites with
-    no natural ``with`` block: a CLI process that wants its whole
-    lifetime scoped (``--run-id``), or a pool worker whose task should
-    inherit the parent's run id (:func:`enter_worker_scope`).
+def _fold(target: _state.Scope, scope: _state.Scope) -> None:
+    """Merge ``scope``'s collectors into ``target``'s; the trace tree is
+    grafted at the root node, never under a span another thread holds
+    open.
     """
-    return _state.scope_var.set(scope)
+    target.registry.merge(scope.registry.snapshot())
+    target.tracer.root.merge(scope.tracer.snapshot())
+    target.recorder.merge(scope.recorder.snapshot())
 
 
-def enter_worker_scope(run_id: str | None) -> None:
-    """Install the propagated run scope inside a pool worker.
-
-    Called by the worker entry point with the ``run_id`` the parent
-    embedded in the task payload.  Always (re)sets the variable: a
-    forked worker inherits the parent's context, so an explicit
-    install keeps fork and spawn start methods behaving identically —
-    and clears a stale scope when the parent had none.
+def totals() -> dict:
+    """The process totals, root plus every active scope, as
+    :func:`collected` blocks (the root's own when no scope is active).
     """
-    activate(RunScope(run_id) if run_id else None)
+    with _lock:
+        if not _active:
+            return collected(_state.root)
+        combined = RunScope("totals")
+        combined.recorder.configure(_state.root.recorder.thresholds)
+        for scope in (_state.root, *_active):
+            _fold(combined, scope)
+    return collected(combined)
+
+
+def name_root(run_id: str | None) -> None:
+    """Name the root scope and make it this context's target.
+
+    How a CLI process names its whole lifetime (``--run-id``) and how
+    a pool worker takes on the run id of the fan-out that dispatched
+    it; ``None`` clears the name.  Resetting the target matters in a
+    forked worker, which inherits the forking thread's active scope.
+    """
+    _state.root.run_id = run_id
+    _state.scope_var.set(_state.root)
+

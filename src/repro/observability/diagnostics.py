@@ -27,7 +27,9 @@ weights, and a single dominant weight produce ``ess = 0`` (or 1) and
 the maximally uninformative interval ``[0, 1]`` — never a NaN.
 
 Like the rest of :mod:`repro.observability`, recording is a no-op
-while collection is disabled; the *pure* helpers (intervals, weight
+while collection is disabled and otherwise lands in the active run
+scope's recorder, or in the process-wide :data:`recorder` (the
+root's) outside any run; the *pure* helpers (intervals, weight
 diagnostics) are always available and are used by the stats stack to
 attach uncertainty to its results unconditionally.
 """
@@ -464,27 +466,18 @@ class DiagnosticsRecorder:
             aggregate.merge_summary(summary)
 
 
-#: The process-wide recorder every guarded call site writes to.
-recorder = DiagnosticsRecorder()
+#: The process-wide recorder: the root scope's, where every run scope
+#: folds in on exit.
+recorder = _state.root.recorder = DiagnosticsRecorder()
 
 
 def record(scope: str, result) -> None:
-    """Record ``result`` under ``scope`` — no-op while collection is off.
-
-    Dual-write: an active run scope's recorder receives the same
-    observation, so per-run convergence verdicts are exact.
-    """
+    """Record ``result`` under ``scope`` — no-op while collection is off."""
     if _state.enabled:
-        recorder.record(scope, result)
-        run_scope = _state.scope_var.get()
-        if run_scope is not None:
-            run_scope.recorder.record(scope, result)
+        _state.scope_var.get().recorder.record(scope, result)
 
 
 def record_batch(scope: str, batch: BatchDiagnostics | None) -> None:
     """Record a stored batch summary — no-op while collection is off."""
     if _state.enabled and batch is not None:
-        recorder.record_batch(scope, batch)
-        run_scope = _state.scope_var.get()
-        if run_scope is not None:
-            run_scope.recorder.record_batch(scope, batch)
+        _state.scope_var.get().recorder.record_batch(scope, batch)

@@ -21,9 +21,11 @@ a plain dict (JSON-ready), and can merge a snapshot produced by another
 process — how per-worker measurements travel back across the
 :class:`~repro.parallel.executor.ParallelExecutor` boundary.
 
-Call sites never touch the registry directly; they use the guarded
+Call sites never touch a registry directly; they use the guarded
 module helpers (:func:`incr`, :func:`set_gauge`, :func:`observe`)
-which are no-ops while collection is disabled.
+which are no-ops while collection is disabled and otherwise write to
+the active run scope's registry, or to the process-wide
+:data:`registry` (the root's) outside any run.
 """
 
 from __future__ import annotations
@@ -252,37 +254,24 @@ class MetricsRegistry:
             self.histogram(name).merge_summary(summary)
 
 
-#: The process-wide registry every guarded helper writes to.
-registry = MetricsRegistry()
+#: The process-wide registry: the root scope's, where every run scope
+#: folds in on exit.
+registry = _state.root.registry = MetricsRegistry()
 
 
 def incr(name: str, amount: float = 1.0) -> None:
-    """Bump counter ``name`` — no-op while collection is disabled.
-
-    Dual-write: inside a :class:`~repro.observability.context
-    .RunContext` the active scope's registry receives the same bump,
-    so per-run attribution is exact without touching the global totals.
-    """
+    """Bump counter ``name`` — no-op while collection is disabled."""
     if _state.enabled:
-        registry.counter(name).inc(amount)
-        scope = _state.scope_var.get()
-        if scope is not None:
-            scope.registry.counter(name).inc(amount)
+        _state.scope_var.get().registry.counter(name).inc(amount)
 
 
 def set_gauge(name: str, value: float) -> None:
     """Set gauge ``name`` — no-op while collection is disabled."""
     if _state.enabled:
-        registry.gauge(name).set(value)
-        scope = _state.scope_var.get()
-        if scope is not None:
-            scope.registry.gauge(name).set(value)
+        _state.scope_var.get().registry.gauge(name).set(value)
 
 
 def observe(name: str, value: float) -> None:
     """Observe ``value`` in histogram ``name`` — no-op when disabled."""
     if _state.enabled:
-        registry.histogram(name).observe(value)
-        scope = _state.scope_var.get()
-        if scope is not None:
-            scope.registry.histogram(name).observe(value)
+        _state.scope_var.get().registry.histogram(name).observe(value)

@@ -3,8 +3,8 @@
 The trace tree says *which stage* a run spends its life in; this module
 answers the next question — *which function inside the stage* — without
 any ad-hoc timing code.  ``profile(name)`` behaves exactly like
-``trace(name)`` (it opens the same span, so the tree shape never
-changes), and when profiling has been armed with
+``trace(name)`` (it *is* that span, landing in the active run scope
+or the root like any other, so the tree shape never changes), and when profiling has been armed with
 :func:`enable_profiling` it additionally runs the span body under
 :class:`cProfile.Profile`, accumulating one profile per span name::
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 import cProfile
 import functools
 import pstats
-import time
 
 from repro.observability import _state, tracing
 
@@ -118,18 +117,17 @@ def write_profile(path: str, name: str | None = None) -> list[str]:
     return names
 
 
-class profile:
+class profile(tracing.trace):
     """``trace(name)`` that additionally profiles the span body.
 
-    Context manager and decorator, mirroring
-    :class:`repro.observability.tracing.trace`.
+    Context manager and decorator, like
+    :class:`repro.observability.tracing.trace`, whose span it opens.
     """
 
-    __slots__ = ("name", "_active", "_start", "_prof")
+    __slots__ = ("_prof",)
 
     def __init__(self, name: str) -> None:
-        self.name = name
-        self._active = False
+        super().__init__(name)
         self._prof = None
 
     def _profiler(self) -> cProfile.Profile | None:
@@ -156,22 +154,17 @@ class profile:
         return wrapper
 
     def __enter__(self) -> "profile":
-        self._active = _state.enabled
+        super().__enter__()
         if self._active:
-            tracing.tracer.push(self.name)
             self._prof = self._profiler()
-            self._start = time.perf_counter()
             if self._prof is not None:
                 self._prof.enable()
         return self
 
     def __exit__(self, *exc) -> bool:
         global _running
-        if self._active:
-            if self._prof is not None:
-                self._prof.disable()
-                self._prof = None
-                _running = False
-            tracing.tracer.pop(time.perf_counter() - self._start)
-            self._active = False
-        return False
+        if self._prof is not None:
+            self._prof.disable()
+            self._prof = None
+            _running = False
+        return super().__exit__(*exc)

@@ -17,12 +17,16 @@ same parent* aggregate — a 17-point grid build shows up as one
 localising where a run spends its life (sampling vs solving vs
 classification; cold table builds vs warm cache loads).
 
-Trees merge across processes: each worker snapshots the subtree its
-task produced and the parent grafts it under whatever span was open at
-the fan-out call site (see
+A span lands in one tree: the active run scope's tracer, or the
+process-wide :data:`tracer` (the root's) outside any run.  A run
+scope's tree is grafted at the root node of the process tree when its
+context exits.  Trees also merge across processes: each worker
+snapshots the subtree its task produced and the parent grafts it under
+whatever span was open at the fan-out call site (see
 :meth:`repro.parallel.executor.ParallelExecutor.map`), so a parallel
 run's tree reads the same as a serial one, with the per-task counts
-and times summed over workers.
+and times summed over workers.  Every tracer's completed spans also
+go to the one process-wide :data:`timeline`, while it is armed.
 
 When collection is disabled (:mod:`repro.observability._state`),
 entering a span is a single flag check — the decorator form calls the
@@ -165,16 +169,19 @@ class SpanNode:
             self.child(child_snap["name"]).merge(child_snap)
 
 
+#: The armed process-wide :class:`Timeline`, or ``None`` (the
+#: default): timeline recording is opt-in on top of the aggregated
+#: trees and costs one global check per :meth:`Tracer.pop` while
+#: disarmed.
+timeline: Timeline | None = None
+
+
 class Tracer:
     """Owns a trace tree and the currently-open span stack."""
 
     def __init__(self) -> None:
         self.root = SpanNode("run")
         self._stack: list[SpanNode] = [self.root]
-        #: Armed :class:`Timeline`, or ``None`` (the default): timeline
-        #: recording is opt-in on top of the aggregated tree and costs
-        #: one attribute check per :meth:`pop` while disarmed.
-        self.timeline: Timeline | None = None
 
     @property
     def current(self) -> SpanNode:
@@ -198,23 +205,15 @@ class Tracer:
             raise RuntimeError("trace stack underflow: pop without push")
         node = self._stack.pop()
         node.seconds += elapsed
-        if self.timeline is not None:
-            end = time.perf_counter() - self.timeline.epoch
-            self.timeline.record(node.name, end - elapsed, elapsed)
+        armed = timeline
+        if armed is not None:
+            end = time.perf_counter() - armed.epoch
+            armed.record(node.name, end - elapsed, elapsed)
 
     def reset(self) -> None:
-        """Drop the tree and any open spans.
-
-        An armed timeline is re-armed fresh (same capacity, new epoch)
-        rather than dropped — so a worker that inherited the armed
-        state at fork time (``worker_begin`` resets before running the
-        task) records its own task-local timeline, and the parent can
-        merge it under a new track.
-        """
+        """Drop the tree and any open spans."""
         self.root = SpanNode("run")
         self._stack = [self.root]
-        if self.timeline is not None:
-            self.timeline = Timeline(self.timeline.capacity)
 
     def snapshot(self) -> dict:
         """The whole tree (root node named ``run``)."""
@@ -235,60 +234,52 @@ class Tracer:
             target.child(child_snap["name"]).merge(child_snap)
 
 
-#: The process-wide tracer every span writes to.
-tracer = Tracer()
+#: The process-wide tracer: the root scope's, where every run scope's
+#: tree is grafted on exit.
+tracer = _state.root.tracer = Tracer()
 
 
 def enable_timeline(capacity: int | None = None) -> None:
-    """Arm timeline recording on the process-wide tracer (idempotent —
-    re-arming drops any events recorded so far and restarts the epoch).
+    """Arm the process-wide timeline (idempotent — re-arming drops any
+    events recorded so far and restarts the epoch).
     """
-    tracer.timeline = Timeline(capacity)
+    global timeline
+    timeline = Timeline(capacity)
 
 
 def disable_timeline() -> None:
     """Disarm timeline recording and drop recorded events."""
-    tracer.timeline = None
+    global timeline
+    timeline = None
 
 
 def timeline_enabled() -> bool:
-    """True while the process-wide tracer records a timeline."""
-    return tracer.timeline is not None
+    """True while the process-wide timeline is armed."""
+    return timeline is not None
 
 
 def timeline_snapshot() -> dict | None:
     """The armed timeline's snapshot, or ``None`` when disarmed."""
-    return tracer.timeline.snapshot() if tracer.timeline is not None else None
+    return timeline.snapshot() if timeline is not None else None
 
 
 def merge_timeline(snapshot: dict | None) -> None:
     """Absorb a worker's timeline snapshot (no-op when either side is
     disarmed — a worker spawned rather than forked never armed one).
     """
-    if snapshot and tracer.timeline is not None:
-        tracer.timeline.merge(snapshot)
-
-
-def _scope_tracer() -> Tracer | None:
-    """The active run scope's tracer, or ``None`` outside any scope.
-
-    Spans mirror into it with the *same* elapsed reading as the global
-    pop, so a run's scoped tree is an exact subtree of the global one
-    (identical calls, identical seconds) rather than a re-measurement.
-    """
-    scope = _state.scope_var.get()
-    return scope.tracer if scope is not None else None
+    if snapshot and timeline is not None:
+        timeline.merge(snapshot)
 
 
 class trace:
     """Span marker, usable as a context manager or a decorator."""
 
-    __slots__ = ("name", "_active", "_start", "_scoped")
+    __slots__ = ("name", "_active", "_start", "_tracer")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._active = False
-        self._scoped = None
+        self._tracer = None
 
     def __call__(self, fn):
         name = self.name
@@ -297,41 +288,31 @@ class trace:
         def wrapper(*args, **kwargs):
             if not _state.enabled:
                 return fn(*args, **kwargs)
-            # Latch the scope tracer across the call so an inner
-            # RunContext entry/exit cannot unbalance the scoped stack.
-            scoped = _scope_tracer()
+            # Latch the tracer across the call so an inner RunContext
+            # entry/exit cannot unbalance its span stack.
+            tracer = _state.scope_var.get().tracer
             tracer.push(name)
-            if scoped is not None:
-                scoped.push(name)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                elapsed = time.perf_counter() - start
-                tracer.pop(elapsed)
-                if scoped is not None:
-                    scoped.pop(elapsed)
+                tracer.pop(time.perf_counter() - start)
 
         return wrapper
 
     def __enter__(self) -> "trace":
-        # The enabled state (and the scope tracer) is latched on entry
-        # so a mid-span flip cannot unbalance either span stack.
+        # The enabled state and the tracer are latched on entry so a
+        # mid-span flip or scope change cannot unbalance a span stack.
         self._active = _state.enabled
         if self._active:
-            self._scoped = _scope_tracer()
-            tracer.push(self.name)
-            if self._scoped is not None:
-                self._scoped.push(self.name)
+            self._tracer = _state.scope_var.get().tracer
+            self._tracer.push(self.name)
             self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         if self._active:
-            elapsed = time.perf_counter() - self._start
-            tracer.pop(elapsed)
-            if self._scoped is not None:
-                self._scoped.pop(elapsed)
-            self._scoped = None
+            self._tracer.pop(time.perf_counter() - self._start)
+            self._tracer = None
             self._active = False
         return False

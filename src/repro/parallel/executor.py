@@ -134,14 +134,15 @@ def _pool_task(payload: tuple) -> tuple:
     ``action`` is the fault directive the parent computed for this
     attempt (or None), ``collect`` says whether the parent wants a
     telemetry snapshot shipped home alongside the result, and
-    ``run_id`` is the run scope active at the fan-out call site (or
-    None) — installed here so worker-side log events carry the same
-    ``run_id=`` stamp as the parent's, across fork and spawn alike.
+    ``run_id`` is the run id active at the fan-out call site (or
+    None) — it names the worker's root so worker-side log events carry
+    the same ``run_id=`` stamp as the parent's, across fork and spawn
+    alike.
     """
     fn, task, action, collect, run_id = payload
     faults.apply_task_action(action, in_worker=True)
     if not collect:
-        observability.context.enter_worker_scope(run_id)
+        observability.context.name_root(run_id)
         return fn(task), None
     observability.worker_begin(run_id)
     result = fn(task)

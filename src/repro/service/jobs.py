@@ -7,8 +7,8 @@ the spec fingerprint (which *is* the job id), and executes each job
 inside its own :class:`~repro.observability.context.RunContext` with
 ``run_id == job_id``: every counter bump, span, and diagnostic the
 job produces lands in the job's own scope (exactly — not
-reconstructed from global-counter deltas), alongside the process-wide
-totals.  Because attribution is scoped, jobs may execute concurrently
+reconstructed from global-counter deltas), which folds into the
+process-wide totals when the job's context exits.  Because attribution is scoped, jobs may execute concurrently
 (``job_workers > 1``) with per-job progress, results, and telemetry
 identical to a serial run; concurrency *inside* a job still comes from
 the :class:`~repro.parallel.executor.ParallelExecutor` fan-out over
@@ -785,8 +785,8 @@ class JobManager:
             remaining = job.created_at + float(deadline_s) - time.time()
             token.set_deadline(max(0.0, remaining))
         # The whole execution — including terminal logging — runs
-        # inside the job's RunContext: instrumentation dual-writes into
-        # the job's scope and every log event is stamped run_id=job_id.
+        # inside the job's RunContext: instrumentation writes into the
+        # job's scope and every log event is stamped run_id=job_id.
         with RunContext(scope=job.scope):
             # The started record is durable before any work happens: a
             # crash mid-build replays as "owed" and resumes on next boot.

@@ -23,7 +23,7 @@ A deliberately small HTTP/1.1 server on :func:`asyncio.start_server`
   snapshot under the ``repro.telemetry/1`` schema;
 * ``GET /v1/readyz`` — readiness: 200 while accepting work, 503 once
   a drain has begun (load balancers stop routing, clients back off);
-* ``GET /v1/metrics`` — the same registry in Prometheus text
+* ``GET /v1/metrics`` — the same totals in Prometheus text
   exposition format, for standard scrapers.
 
 Admission rejections (queue full → 429 ``queue-full``, draining → 503
@@ -49,7 +49,8 @@ import math
 import threading
 import time
 
-from repro.observability import SCHEMA, registry
+from repro import observability
+from repro.observability import SCHEMA
 from repro.observability.export import render_prometheus
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe, set_gauge
@@ -106,12 +107,13 @@ class _HttpError(Exception):
 
 
 def _metrics_snapshot() -> dict:
-    """The healthz telemetry block: metrics only, no trace tree.
+    """The healthz telemetry block: the process metric totals (the
+    root plus every running job's scope), no trace tree.
 
     Histogram summaries keep their ``p50``/``p95`` estimates but drop
     the raw reservoir — healthz is polled, so its payload stays small.
     """
-    metrics = registry.snapshot()
+    metrics = observability.snapshot()["metrics"]
     for summary in metrics["histograms"].values():
         summary.pop("reservoir", None)
     return {"schema": SCHEMA, "metrics": metrics}
@@ -642,14 +644,14 @@ class ServiceServer:
         return (503 if draining else 200), payload
 
     def _metrics(self) -> _RawResponse:
-        """``GET /v1/metrics``: the registry as Prometheus exposition
+        """``GET /v1/metrics``: the process totals as Prometheus exposition
         text — value-identical to the healthz telemetry block, just in
         the format a standard scraper speaks.  Uptime is refreshed into
         a gauge at scrape time so dashboards get it for free.
         """
         set_gauge("service.uptime_seconds", self.manager.uptime_seconds())
         return _RawResponse(
-            render_prometheus(registry.snapshot()).encode(),
+            render_prometheus(observability.snapshot()["metrics"]).encode(),
             PROMETHEUS_CONTENT_TYPE,
         )
 

@@ -247,7 +247,7 @@ class TestTimeline:
         observability.enable()
         with trace("unarmed"):
             pass
-        assert tracer.timeline is None
+        assert observability.tracing.timeline is None
         assert observability.timeline_snapshot() is None
 
         observability.enable_timeline()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 import threading
 
 import pytest
@@ -31,9 +32,9 @@ def clean_observability():
     """Every test starts and ends with collection off, empty, unscoped."""
     observability.disable()
     observability.reset()
-    context.activate(None)
+    context.name_root(None)
     yield
-    context.activate(None)
+    context.name_root(None)
     observability.disable()
     observability.reset()
     observability.configure_logging(verbosity=0)
@@ -173,6 +174,38 @@ class TestThreadIsolation:
         # The main thread never saw either scope.
         assert context.current_scope() is None
 
+    def test_process_tree_is_the_disjoint_union_of_scope_trees(self):
+        # Two jobs with nested spans, held open at the same time: the
+        # process tree must hold each job's own subtree, calls and
+        # seconds unchanged — never one job's span under the other's.
+        observability.enable()
+        scopes: dict[str, RunScope] = {}
+        barrier = threading.Barrier(2)
+
+        def work(name: str) -> None:
+            with RunContext(f"job-{name}") as scope:
+                scopes[name] = scope
+                with trace(f"job.{name}"):
+                    barrier.wait(timeout=10)  # both outer spans open
+                    with trace(f"{name}.solve"):
+                        barrier.wait(timeout=10)  # both inner spans open
+                    barrier.wait(timeout=10)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        expected = sorted(
+            scopes["a"].tracer.snapshot()["children"]
+            + scopes["b"].tracer.snapshot()["children"],
+            key=lambda node: node["name"],
+        )
+        assert [node["name"] for node in expected] == ["job.a", "job.b"]
+        assert [c["name"] for c in expected[0]["children"]] == ["a.solve"]
+        assert observability.snapshot()["trace"]["children"] == expected
+
     def test_scope_does_not_leak_into_new_threads(self):
         observability.enable()
         seen: list[str | None] = []
@@ -186,6 +219,62 @@ class TestThreadIsolation:
         # NOT inherit the creator's scope — propagation is explicit
         # (RunContext in the thread body, or the executor payload).
         assert seen == [None]
+
+
+class TestScopeExit:
+    def test_polls_never_see_an_exiting_scope_missing_or_doubled(self):
+        # A scope's counters count once in the process totals from the
+        # first write on: while it is active (root + active) and after
+        # its exit merged it into the root — never zero or twice while
+        # the exit is under way.  A tiny switch interval makes the
+        # poller interleave with each exit.
+        observability.enable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(60):
+                name = f"exit.round{k}"
+                values: list = []
+                polling, stop = threading.Event(), threading.Event()
+
+                def poll() -> None:
+                    while not stop.is_set():
+                        counters = observability.snapshot()["metrics"]["counters"]
+                        values.append(counters.get(name))
+                        polling.set()
+
+                with RunContext(f"r{k}"):
+                    incr(name, 5)
+                    for j in range(1000):  # a fold long enough to poll into
+                        incr(f"exit.pad{j}")
+                    poller = threading.Thread(target=poll)
+                    poller.start()
+                    assert polling.wait(timeout=10)
+                polled = len(values)
+                while len(values) < polled + 3 and poller.is_alive():
+                    stop.wait(0.0005)
+                stop.set()
+                poller.join(timeout=10)
+                assert not poller.is_alive()
+                assert set(values) == {5.0}, (k, sorted(set(map(str, values))))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_entering_an_active_scope_raises(self):
+        observability.enable()
+        scope = RunScope("r1")
+        with RunContext(scope=scope):
+            incr("k", 1)
+            with pytest.raises(RuntimeError):
+                with RunContext(scope=scope):
+                    incr("k", 100)
+            assert context.current_scope() is scope
+        # Merged exactly once, and a spent scope cannot run again.
+        assert observability.snapshot()["metrics"]["counters"]["k"] == 1.0
+        with pytest.raises(RuntimeError):
+            with RunContext(scope=scope):
+                pass
+        assert observability.snapshot()["metrics"]["counters"]["k"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +446,36 @@ class TestExperimentsRunId:
         ]
         assert events, "expected --log-json events on stderr"
         assert all(event["run_id"] == "smoke" for event in events)
+
+    def test_run_id_names_the_root_for_report_and_timeline(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.__main__ as cli
+        from repro.experiments.context import ExperimentContext
+
+        monkeypatch.setattr(
+            cli, "_fast_context",
+            lambda: ExperimentContext(
+                target=1e-2, calibration_samples=2_000,
+                analysis_samples=600, table_grid=4, seed=99,
+            ),
+        )
+        metrics_file = tmp_path / "m.json"
+        trace_file = tmp_path / "t.json"
+        try:
+            assert cli.main(["fig2c", "--fast", "--run-id", "r",
+                             "--metrics-out", str(metrics_file),
+                             "--trace-out", str(trace_file)]) == 0
+        finally:
+            observability.disable_timeline()
+        report = json.loads(metrics_file.read_text())
+        assert report["run_id"] == "r"
+        assert report["trace"]["children"], "empty trace tree"
+        assert report["metrics"]["counters"]["mc.samples"] > 0
+        document = json.loads(trace_file.read_text())
+        spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert spans, "no timeline spans under a named root"
+        assert document["otherData"]["run_id"] == "r"
 
     def test_blank_run_id_rejected(self):
         import repro.experiments.__main__ as cli

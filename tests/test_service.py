@@ -282,7 +282,7 @@ class TestJobManager:
             assert retry.id == job.id
             wait_for(lambda: manager.get(job.id).status == "completed")
             assert manager.get(job.id).error is None
-            counters = observability.registry.snapshot()["counters"]
+            counters = observability.snapshot()["metrics"]["counters"]
             assert counters["service.jobs_failed"] == 1
             assert counters["service.jobs_completed"] == 1
             assert counters["service.jobs_accepted"] == 2
@@ -548,7 +548,7 @@ class TestCancellationAndDeadline:
             assert started.wait(timeout=10)
             wait_for(lambda: manager.get(job.id).status == "failed")
             assert manager.get(job.id).error_code == "deadline-exceeded"
-            counters = observability.registry.snapshot()["counters"]
+            counters = observability.snapshot()["metrics"]["counters"]
             assert counters["service.jobs_deadline_exceeded"] == 1
             assert counters["service.jobs_failed"] == 1
         finally:
@@ -1727,7 +1727,7 @@ class TestConcurrentJobs:
                 want_result, want_telemetry = baseline[job.id]
                 assert job.result == want_result
                 assert _canon_telemetry(job.telemetry_snapshot()) == want_telemetry
-            counters = observability.registry.snapshot()["counters"]
+            counters = observability.snapshot()["metrics"]["counters"]
             assert counters.get("service.jobs_failed", 0.0) == 0.0
             assert counters["service.jobs_completed"] == 2.0
             assert counters.get("service.events_dropped", 0.0) == 0.0
@@ -1760,8 +1760,8 @@ class TestConcurrentJobs:
             ]
             (cell,) = root["children"]
             assert cell["calls"] == cells
-        # The global registry still has the whole-process totals.
-        counters = observability.registry.snapshot()["counters"]
+        # The process totals still have the whole-process counts.
+        counters = observability.snapshot()["metrics"]["counters"]
         assert counters["probe.cells"] == 12.0
         # Progress reads the scope: exact per-job counters.
         assert manager.get(job_a.id).progress()["counters"]["mc.samples"] == 600.0
@@ -1870,7 +1870,7 @@ class TestConcurrentJobs:
         assert list(conc_dir.glob("*.ckpt.json.corrupt-*")) or list(
             conc_dir.glob("*.corrupt-1")
         )
-        counters = observability.registry.snapshot()["counters"]
+        counters = observability.snapshot()["metrics"]["counters"]
         assert counters.get("service.jobs_failed", 0) == 0
 
 

@@ -14,10 +14,10 @@ from repro.core.march import MARCH_CM, MARCH_X, MATS_PLUS
 from repro.core.monitor import LeakageMonitor
 from repro.core.source_bias import BISTController, SelfAdaptiveSourceBias
 from repro.experiments.asb import default_asb_organization
+from repro.failures import parametric_yield
 from repro.sram.array import FunctionalMemoryArray
 from repro.sram.cell import SixTCell, sample_cell_dvt
 from repro.sram.leakage import cell_leakage
-from repro.stats.integration import dense_expectation
 from repro.stats.montecarlo import probability_of
 from repro.stats.sampling import importance_sample_dvt
 from repro.technology.corners import ProcessCorner
@@ -39,17 +39,16 @@ def test_ablation_bias_levels(ctx, save_result):
     levels_5 = (-0.4, -0.2, 0.0, 0.2, 0.4)
 
     def yield_with_levels(levels, sigma):
-        def pass_probability(corner):
+        def p_cell(corner):
             quantised = ProcessCorner(round(corner.dvt_inter, 3))
-            best = min(
-                levels,
-                key=lambda vb: pipeline.cell_failure_probability(
-                    quantised, vb
-                ),
+            return min(
+                pipeline.cell_failure_probability(quantised, vb)
+                for vb in levels
             )
-            return 1.0 - pipeline.memory_failure_probability(quantised, best)
 
-        return dense_expectation(InterDieDistribution(sigma), pass_probability)
+        return parametric_yield(
+            p_cell, organization, InterDieDistribution(sigma)
+        )
 
     def run():
         rows = ["sigma[mV]  3-bin oracle[%]  5-bin oracle[%]  monitor[%]"]

@@ -22,7 +22,7 @@ from repro import (
     calibrate_criteria,
     predictive_70nm,
 )
-from repro.failures.memory import memory_failure_probability
+from repro.failures import parametric_yield
 from repro.sram.array import ArrayOrganization
 from repro.sram.metrics import OperatingConditions
 from repro.technology.variation import InterDieDistribution
@@ -90,14 +90,10 @@ def main() -> None:
     print("\nwhy *adaptive* (per-die) beats any fixed body bias:")
     for vbody, label in ((-0.4, "always-RBB"), (0.0, "always-ZBB"),
                          (0.4, "always-FBB")):
-        def p_mem(corner, vb=vbody):
-            return memory_failure_probability(
-                pipeline.cell_failure_probability(corner, vb),
-                pipeline.organization,
-            )
-        from repro.stats.integration import dense_expectation
+        def p_cell(corner, vb=vbody):
+            return pipeline.cell_failure_probability(corner, vb)
 
-        fixed_yield = dense_expectation(dist, lambda c: 1.0 - p_mem(c))
+        fixed_yield = parametric_yield(p_cell, pipeline.organization, dist)
         print(f"  {label:10s}: yield {100 * fixed_yield:5.1f}%")
     adaptive = pipeline.parametric_yield(dist, repaired=True)
     print(f"  adaptive  : yield {100 * adaptive:5.1f}%")

@@ -25,12 +25,11 @@ import numpy as np
 from repro.core.monitor import CornerBin, LeakageMonitor
 from repro.core.tables import FailureProbabilityTable
 from repro.failures.analysis import CellFailureAnalyzer
-from repro.failures.memory import memory_failure_probability
 from repro.sram.array import ArrayOrganization
 from repro.sram.cell import CellGeometry, SixTCell, sample_cell_dvt
 from repro.sram.leakage import cell_leakage
+from repro.stats import yield_model
 from repro.stats.distributions import NormalDistribution, array_leakage_distribution
-from repro.stats.integration import dense_expectation
 from repro.technology.corners import ProcessCorner
 from repro.technology.parameters import TechnologyParameters
 from repro.technology.variation import InterDieDistribution
@@ -177,7 +176,7 @@ class SelfRepairingSRAM:
         self, corner: ProcessCorner, vbody: float = 0.0
     ) -> float:
         """Memory failure probability (after redundancy) at a corner."""
-        return memory_failure_probability(
+        return yield_model.memory_failure_probability(
             self.cell_failure_probability(corner, vbody), self.organization
         )
 
@@ -246,29 +245,28 @@ class SelfRepairingSRAM:
         self,
         distribution: InterDieDistribution,
         repaired: bool = True,
-        order: int = 15,
     ) -> float:
-        """Parametric yield over the inter-die distribution.
+        """Parametric yield over the inter-die distribution (Fig. 2c).
 
         ``repaired=False`` evaluates the ZBB baseline; ``repaired=True``
         lets the monitor pick the bias per corner (Fig. 2c's comparison).
-        The integration grid is dense because the three-level bias policy
-        is discontinuous in the corner.
+        Corners are quantised to 1 mV.
         """
 
-        def pass_probability(corner: ProcessCorner) -> float:
+        def p_cell(corner: ProcessCorner) -> float:
             quantised = ProcessCorner(round(corner.dvt_inter, 3))
             vbody = self.decide_bias(quantised)[0] if repaired else 0.0
-            return 1.0 - self.memory_failure_probability(quantised, vbody)
+            return self.cell_failure_probability(quantised, vbody)
 
-        return dense_expectation(distribution, pass_probability)
+        return yield_model.parametric_yield(
+            p_cell, self.organization, distribution
+        )
 
     def leakage_yield(
         self,
         distribution: InterDieDistribution,
         l_max: float,
         repaired: bool = True,
-        order: int = 15,
     ) -> float:
         """Fraction of dies meeting the leakage bound (Fig. 5c).
 
@@ -277,9 +275,9 @@ class SelfRepairingSRAM:
         across sigma values.
         """
 
-        def pass_probability(corner: ProcessCorner) -> float:
+        def leakage(corner: ProcessCorner) -> NormalDistribution:
             quantised = ProcessCorner(round(corner.dvt_inter / 0.005) * 0.005)
             vbody = self.decide_bias(quantised)[0] if repaired else 0.0
-            return float(self.array_leakage(quantised, vbody).cdf(l_max))
+            return self.array_leakage(quantised, vbody)
 
-        return dense_expectation(distribution, pass_probability)
+        return yield_model.leakage_yield(distribution, leakage, l_max)

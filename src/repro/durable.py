@@ -1,9 +1,9 @@
 """Corruption-proof persistence: atomic, checksummed JSON envelopes.
 
-Every durable artifact in the stack (result-cache entries, persisted
-criteria/tables, checkpoints, the service's job ledger) goes through
-this module, which supplies the three guarantees a killed process or a
-torn disk write must not violate:
+Every durable artifact in the stack (result-cache entries, which hold
+the criteria and tables; checkpoints; the service's job ledger) goes
+through this module, which supplies the three guarantees a killed
+process or a torn disk write must not violate:
 
 * **atomicity** — :func:`atomic_write_text` writes to a unique
   temporary sibling and renames it into place, so a reader never sees
@@ -121,14 +121,12 @@ def write_sealed(path: str | pathlib.Path, payload: dict) -> pathlib.Path:
 def read_sealed(
     path: str | pathlib.Path,
     formats: tuple | None = None,
-    unsealed: tuple = (),
     fields: tuple = (),
 ) -> dict:
     """Read and verify one sealed entry file; raise on any fault.
 
-    ``formats`` lists the accepted ``format`` values (None: any); those
-    in ``unsealed`` predate the digest and load unverified.  Every name
-    in ``fields`` must be present.  A missing file raises
+    ``formats`` lists the accepted ``format`` values (None: any).  Every
+    name in ``fields`` must be present.  A missing file raises
     :class:`FileNotFoundError`; anything else wrong raises
     :class:`CorruptStateError`.
     """
@@ -141,8 +139,7 @@ def read_sealed(
     version = payload.get("format") if isinstance(payload, dict) else None
     if formats is not None and version not in formats:
         raise CorruptStateError(f"format {version!r} is not one of {formats}")
-    if version not in unsealed:
-        verify(payload)
+    verify(payload)
     missing = [name for name in fields if name not in payload]
     if missing:
         raise CorruptStateError(f"missing field(s) {missing}")

@@ -27,7 +27,6 @@ from repro.core.source_bias import (
     SourceBiasDAC,
 )
 from repro.experiments.context import ExperimentContext, default_context
-from repro.failures.memory import memory_failure_probability
 from repro.observability import diagnostics
 from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
@@ -37,8 +36,8 @@ from repro.parallel.cache import cached_surface, fingerprint
 from repro.power.standby import die_standby_power
 from repro.sram.array import ArrayOrganization, FunctionalMemoryArray
 from repro.stats.distributions import NormalDistribution
-from repro.stats.integration import dense_expectation
 from repro.stats.montecarlo import MonteCarloResult
+from repro.stats.yield_model import leakage_yield, parametric_yield
 from repro.technology.corners import ProcessCorner
 from repro.technology.variation import InterDieDistribution
 
@@ -258,13 +257,16 @@ def _power_stats(
     """Context-cached CLT standby-power distribution at (corner, vsb)."""
     key = ("power", round(corner, 4), round(vsb, 4), n_cells)
     if key not in ctx.cache:
+        # A digest, not hash(): str hashes are salted per process, so
+        # the sample (and Figs. 9-10) would differ from run to run.
+        salt = int(fingerprint(list(key)), 16) & 0xFFFFFFF
         ctx.cache[key] = die_standby_power(
             ctx.tech,
             ctx.geometry,
             ProcessCorner(corner),
             n_cells,
             ctx.asb_conditions(vsb),
-            rng=np.random.default_rng((ctx.seed, hash(key) & 0xFFFFFFF)),
+            rng=np.random.default_rng((ctx.seed, salt)),
         )
     return ctx.cache[key]
 
@@ -546,47 +548,41 @@ def fig10(
     # recover it (the paper's 7-25% leakage-yield gain regime).
     p_max = p_max_over_zero * _power_stats(ctx, 0.0, 0.0, n_cells).mean
 
-    def policy_vsb(name: str, corner: float) -> float:
-        if name == "zero":
-            return 0.0
-        if name == "opt":
-            return vsb_opt
-        return table.adaptive_vsb(corner, organization, dac)
+    def policy(name: str, corner: ProcessCorner) -> tuple[float, float]:
+        """The policy's (5 mV-quantised corner, VSB) for one die.
 
-    leakage_yield: dict[str, np.ndarray] = {}
-    hold_yield: dict[str, np.ndarray] = {}
+        Quantising to a 5 mV grid shares the Monte-Carlo power cache
+        across the dense integration grid and across sigma values.
+        """
+        dvt = round(corner.dvt_inter / 0.005) * 0.005
+        if name == "zero":
+            return dvt, 0.0
+        if name == "opt":
+            return dvt, vsb_opt
+        return dvt, table.adaptive_vsb(dvt, organization, dac)
+
+    leakage: dict[str, np.ndarray] = {}
+    hold: dict[str, np.ndarray] = {}
     for name in ("zero", "opt", "adaptive"):
+
+        def power_at(corner: ProcessCorner) -> NormalDistribution:
+            return _power_stats(ctx, *policy(name, corner), n_cells)
+
+        def p_cell(corner: ProcessCorner) -> float:
+            return table.probability(*policy(name, corner))
+
         l_series = np.empty(len(sigmas))
         h_series = np.empty(len(sigmas))
         for i, sigma in enumerate(sigmas):
             dist = InterDieDistribution(float(sigma))
-
-            def leak_pass(corner: ProcessCorner) -> float:
-                # Quantise to a 5 mV grid so the Monte-Carlo power cache
-                # is shared across the dense integration grid and across
-                # sigma values.
-                dvt = round(corner.dvt_inter / 0.005) * 0.005
-                vsb = policy_vsb(name, dvt)
-                return float(
-                    _power_stats(ctx, dvt, vsb, n_cells).cdf(p_max)
-                )
-
-            def hold_pass(corner: ProcessCorner) -> float:
-                dvt = round(corner.dvt_inter / 0.005) * 0.005
-                vsb = policy_vsb(name, dvt)
-                p_cell = table.probability(dvt, vsb)
-                return 1.0 - memory_failure_probability(p_cell, organization)
-
-            # Dense integration: the DAC-quantised adaptive policy is
-            # piecewise constant in the corner.
-            l_series[i] = dense_expectation(dist, leak_pass)
-            h_series[i] = dense_expectation(dist, hold_pass)
-        leakage_yield[name] = l_series
-        hold_yield[name] = h_series
+            l_series[i] = leakage_yield(dist, power_at, p_max)
+            h_series[i] = parametric_yield(p_cell, organization, dist)
+        leakage[name] = l_series
+        hold[name] = h_series
     return Fig10Result(
         sigmas=np.asarray(sigmas),
-        leakage_yield=leakage_yield,
-        hold_yield=hold_yield,
+        leakage_yield=leakage,
+        hold_yield=hold,
         p_max=p_max,
         vsb_opt=vsb_opt,
     )

@@ -340,7 +340,7 @@ def ext_ecc(
     quantitative argument for why ECC is reserved for soft errors.
     """
     from repro.core.body_bias import BodyBiasGenerator, SelfRepairingSRAM
-    from repro.failures.memory import memory_failure_probability
+    from repro.stats.yield_model import memory_failure_probability
     from repro.sram.ecc import memory_failure_with_ecc
 
     ctx = ctx if ctx is not None else default_context()

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.body_bias import BodyBiasGenerator, SelfRepairingSRAM
 from repro.experiments.context import ExperimentContext, default_context
-from repro.failures.memory import memory_failure_probability
+from repro.stats.yield_model import memory_failure_probability
 from repro.sram.array import ArrayOrganization
 from repro.sram.cell import SixTCell, sample_cell_dvt
 from repro.sram.leakage import cell_leakage, sample_array_leakage

@@ -7,15 +7,17 @@
 * :mod:`repro.failures.analysis` — Monte-Carlo (with sigma-scaled
   importance sampling) estimation of per-mechanism cell failure
   probabilities at any corner and bias;
-* :mod:`repro.failures.memory` — cell -> column -> memory failure
-  probability with column redundancy, and parametric yield over the
-  inter-die distribution.
+* cell -> column -> memory failure probability with column redundancy,
+  and parametric yield over the inter-die distribution (paper Eq. 1) on
+  the dense integration grid — implemented in
+  :mod:`repro.stats.yield_model` beside the leakage yield, and
+  re-exported here.
 """
 
 from repro.failures.analysis import CellFailureAnalyzer, FailureProbabilities
 from repro.failures.criteria import FailureCriteria, calibrate_criteria
 from repro.failures.mpfp import MpfpEstimator, MpfpResult
-from repro.failures.memory import (
+from repro.stats.yield_model import (
     column_failure_probability,
     memory_failure_probability,
     parametric_yield,

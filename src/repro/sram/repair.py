@@ -1,6 +1,6 @@
 """Redundancy repair allocation.
 
-The yield math in :mod:`repro.failures.memory` only *counts* faulty
+The yield math in :mod:`repro.stats.yield_model` only *counts* faulty
 columns; a real memory must also decide which spare replaces what.
 This module implements the allocators:
 

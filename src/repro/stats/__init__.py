@@ -11,10 +11,13 @@ leakage-spread experiments are thin users of these primitives:
   blockade) behind the analyzer's ``sampler=`` knob;
 * :mod:`repro.stats.distributions` — lognormal cell-leakage fits and the
   central-limit aggregation to array leakage (paper Eq. 2);
-* :mod:`repro.stats.integration` — Gauss-Hermite expectation over the
-  inter-die distribution;
-* :mod:`repro.stats.yield_model` — leakage yield (paper Eqs. 3-4) and
-  parametric yield (paper Eq. 1).
+* :mod:`repro.stats.integration` — expectations over the inter-die
+  distribution: the dense trapezoid the yields use, and Gauss-Hermite
+  quadrature for smooth integrands;
+* :mod:`repro.stats.yield_model` — the one implementation of leakage
+  yield (paper Eqs. 3-4) and of parametric yield (paper Eq. 1, with the
+  cell -> column -> memory redundancy chain), both integrated on the
+  dense grid; :mod:`repro.failures` re-exports the Eq. 1 half.
 """
 
 from repro.stats.distributions import (
@@ -43,7 +46,7 @@ from repro.stats.rare_event import (
     tuned_scale,
 )
 from repro.stats.sampling import ImportanceSample, importance_sample_dvt
-from repro.stats.yield_model import leakage_yield, parametric_yield_from_pfail
+from repro.stats.yield_model import leakage_yield
 
 __all__ = [
     "probability_of",
@@ -68,5 +71,4 @@ __all__ = [
     "array_leakage_distribution",
     "expect_over_corners",
     "leakage_yield",
-    "parametric_yield_from_pfail",
 ]

@@ -1,10 +1,12 @@
 """Expectations over the inter-die distribution (paper Eqs. 1, 4).
 
 Yields are expectations of per-corner quantities over the Gaussian
-inter-die Vt distribution.  Gauss-Hermite quadrature needs only ~15
-corner evaluations for smooth integrands, versus thousands of sampled
-dies — the difference between seconds and hours for the sigma-sweep
-figures.
+inter-die Vt distribution: tens of corner evaluations instead of
+thousands of sampled dies — the difference between seconds and hours
+for the sigma-sweep figures.  :func:`dense_expectation` is the one the
+yield integrals of :mod:`repro.stats.yield_model` use;
+:func:`expect_over_corners` (Gauss-Hermite) needs only ~15 nodes, but
+only for smooth integrands.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def expect_over_corners(
 
     Args:
         distribution: the inter-die Vt distribution.
-        per_corner: maps a corner to a scalar (e.g. 1 - P_mem_fail).
+        per_corner: maps a corner to a scalar.
         order: quadrature order (nodes).
     """
     if distribution.sigma == 0.0:
@@ -34,21 +36,6 @@ def expect_over_corners(
     shifts, probabilities = distribution.quadrature(order)
     values = np.array([per_corner(ProcessCorner(float(s))) for s in shifts])
     return float(np.dot(probabilities, values))
-
-
-def expect_series_over_corners(
-    distribution: InterDieDistribution,
-    per_corner: Callable[[ProcessCorner], np.ndarray],
-    order: int = 15,
-) -> np.ndarray:
-    """Vector-valued version of :func:`expect_over_corners`."""
-    if distribution.sigma == 0.0:
-        return np.asarray(per_corner(ProcessCorner(distribution.mean)), dtype=float)
-    shifts, probabilities = distribution.quadrature(order)
-    values = np.stack(
-        [np.asarray(per_corner(ProcessCorner(float(s))), dtype=float) for s in shifts]
-    )
-    return np.tensordot(probabilities, values, axes=(0, 0))
 
 
 def dense_expectation(

@@ -11,27 +11,16 @@ from __future__ import annotations
 import hashlib
 import types
 
-import pytest
-
-from repro import persistence
 from repro.checkpoint import CheckpointStore
-from repro.failures.criteria import FailureCriteria
 from repro.parallel.cache import ResultCache
 from repro.service import ledger as ledger_module
 from repro.service.ledger import JobLedger
-from repro.technology.parameters import predictive_70nm
 
 CACHE_KEY = {"grid": [-0.1, 0.0, 0.1], "seed": 7, "tech": "70nm"}
 CACHE_VALUE = {"log10_probability": {"any": [-6.5, -4.25, -2.0]}, "n": 3}
 CACHE_NAME = "failure-table-cb7750fbc479163043eb12d7.json"
 CKPT_FINGERPRINT = "0123456789abcdef01234567"
 CKPT_COMPLETED = {0: {"x": 1.5}, 3: {"x": -2.0}}
-CRITERIA = FailureCriteria(
-    delta_read=0.05,
-    t_write_max=2e-10,
-    i_access_min=2.5e-5,
-    hold_fraction_min=0.6,
-)
 LEDGER_TS = 1_700_000_000.0
 
 CACHE_TEXT = (
@@ -50,19 +39,6 @@ CKPT_TEXT = (
     '    }\n  },\n'
     '  "sha256": "a7bfd9b5efba141eff9d5d2ec7b02fe1'
     'c73abcf846773a0cc43bc26da656ab4f"\n}'
-)
-CRITERIA_BODY = (
-    '  "kind": "failure-criteria",\n  "technology": "predictive-70nm",\n'
-    '  "fingerprint": "b80973c403a93dad",\n  "criteria": {\n'
-    '    "delta_read": 0.05,\n    "t_write_max": 2e-10,\n'
-    '    "i_access_min": 2.5e-05,\n    "hold_fraction_min": 0.6\n  }'
-)
-#: Format 1 predates the embedded checksum.
-CRITERIA_FORMAT1_TEXT = '{\n  "format": 1,\n' + CRITERIA_BODY + "\n}"
-CRITERIA_FORMAT2_TEXT = (
-    '{\n  "format": 2,\n' + CRITERIA_BODY + ",\n"
-    '  "sha256": "c301fa70c7c61980c04c89b0d2d0a156'
-    '05b709942c1eb78b2c804457f6fcfb26"\n}'
 )
 LEDGER_LINES = [
     '{"created_at": 1699999999.5, "format": 1, "job_id": "job-a", '
@@ -121,13 +97,6 @@ class TestWrittenBytes:
             "58af1ca5567c5f84528508481d568987b6151d47b0141bf3ca315e9d0678ae2e"
         )
 
-    def test_persisted_criteria(self, tmp_path):
-        path = tmp_path / "criteria.json"
-        persistence.save_criteria(CRITERIA, path, predictive_70nm())
-        assert sha256(path) == (
-            "e18e2259fe9410fb79e534732569b72b449dd7e35aaa88995b7b6850040167dd"
-        )
-
     def test_ledger(self, tmp_path, monkeypatch):
         ledger = write_ledger(tmp_path, monkeypatch)
         assert ledger.path.name == "jobs-ledger.jsonl"
@@ -150,17 +119,6 @@ class TestOlderFilesLoad:
         store = CheckpointStore(tmp_path)
         store.path("lot", CKPT_FINGERPRINT).write_text(CKPT_TEXT)
         assert store.load("lot", CKPT_FINGERPRINT) == CKPT_COMPLETED
-
-    @pytest.mark.parametrize(
-        "text", [CRITERIA_FORMAT1_TEXT, CRITERIA_FORMAT2_TEXT],
-        ids=["format1", "format2"],
-    )
-    def test_persisted_criteria(self, tmp_path, text):
-        path = tmp_path / "criteria.json"
-        path.write_text(text)
-        assert persistence.load_criteria(
-            path, predictive_70nm(), strict=False
-        ) == CRITERIA
 
     def test_ledger(self, tmp_path):
         ledger = JobLedger(tmp_path)

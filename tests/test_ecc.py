@@ -104,7 +104,7 @@ class TestYieldModel:
         """At equal 12.5% overhead, column redundancy beats SEC-DED for
         *hard* parametric faults — ECC burns its single correction on
         the permanent defect."""
-        from repro.failures.memory import memory_failure_probability
+        from repro.failures import memory_failure_probability
         from repro.sram.array import ArrayOrganization
 
         p_cell = 2e-5

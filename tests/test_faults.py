@@ -166,6 +166,17 @@ class TestDurable:
         with pytest.raises(durable.CorruptStateError):
             durable.read_sealed(path)
 
+    def test_read_sealed_rejects_edited_and_unsealed_files(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        durable.write_sealed(path, {"format": 2, "value": 0.05})
+        path.write_text(path.read_text().replace("0.05", "0.5"))
+        with pytest.raises(durable.CorruptStateError, match="mismatch"):
+            durable.read_sealed(path)
+        # A file written before the seal existed has no digest to verify.
+        path.write_text('{"format": 1, "value": 0.05}')
+        with pytest.raises(durable.CorruptStateError, match="checksum"):
+            durable.read_sealed(path, formats=(1, 2))
+
     def test_quarantine_numbering(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("junk")

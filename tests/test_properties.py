@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import make_nmos, make_pmos
-from repro.failures.memory import (
+from repro.failures import (
     column_failure_probability,
     memory_failure_probability,
 )

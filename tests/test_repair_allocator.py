@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.failures.memory import memory_failure_probability
+from repro.failures import memory_failure_probability
 from repro.sram.array import ArrayOrganization
 from repro.sram.repair import (
     RepairPlan,

@@ -15,7 +15,7 @@ from repro.stats.montecarlo import (
     probability_of,
     weighted_quantile,
 )
-from repro.stats.yield_model import leakage_yield, parametric_yield_from_pfail
+from repro.stats.yield_model import leakage_yield, parametric_yield
 from repro.technology.variation import InterDieDistribution
 
 
@@ -235,10 +235,12 @@ class TestYieldModel:
             leakage_yield(dist, lambda c: None, l_max=0.0)
 
     def test_parametric_yield_passthrough(self):
+        from repro.sram.array import ArrayOrganization
+
+        # One cell, no spare: the memory fails exactly when the cell does.
+        single = ArrayOrganization(rows=1, columns=1, redundant_columns=0)
         dist = InterDieDistribution(sigma=0.05)
-        yield_value = parametric_yield_from_pfail(
-            dist, lambda c: 0.25
-        )
+        yield_value = parametric_yield(lambda c: 0.25, single, dist)
         assert yield_value == pytest.approx(0.75)
 
 

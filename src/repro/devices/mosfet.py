@@ -163,7 +163,9 @@ class MOSFET:
 
         The device is treated as symmetric: if the normalised vds is
         negative, drain and source roles are swapped and the current
-        negated, so the function is continuous and odd in vds.
+        negated, so the function is continuous and odd in vds.  The model
+        is evaluated once, on the terminals ordered by voltage (the lower
+        one acts as the source).
         """
         s = self.sign
         vg = s * np.asarray(vg, dtype=float)
@@ -173,11 +175,9 @@ class MOSFET:
 
         vds = vd - vs
         forward = vds >= 0.0
-        # Forward orientation: source is the lower terminal.
-        i_fwd = self._ids_normalized(vg - vs, np.maximum(vds, 0.0), vs - vb)
-        # Reverse orientation: swap drain and source.
-        i_rev = self._ids_normalized(vg - vd, np.maximum(-vds, 0.0), vd - vb)
-        return np.where(forward, i_fwd, -i_rev)
+        low = np.where(forward, vs, vd)
+        i_d = self._ids_normalized(vg - low, np.abs(vds), low - vb)
+        return np.where(forward, i_d, -i_d)
 
     def on_current(self, vdd: float, vbody: float = 0.0) -> np.ndarray:
         """Saturation on-current [A] at full gate and drain drive.

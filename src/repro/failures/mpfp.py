@@ -163,12 +163,11 @@ class MpfpEstimator:
         vb = self.conditions.vbody_n
         incr("solver.calls", z.shape[0])
         incr("solver.batches")
-        read_margin = solve_read_trip(cell, vdd, vb) - solve_read_node(
-            cell, vdd, vb
-        )
+        v_read = solve_read_node(cell, vdd, vb)
+        read_margin = solve_read_trip(cell, vdd, vb) - v_read
         t_write = solve_write_time(cell, vdd, vb)
         t_write = np.where(np.isfinite(t_write), t_write, 1e6)
-        i_access = solve_access_current(cell, vdd, vb)
+        i_access = solve_access_current(cell, vdd, vb, v_read=v_read)
         criteria = self.criteria
         return {
             "read": (read_margin - criteria.delta_read) / vdd,

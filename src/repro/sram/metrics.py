@@ -156,8 +156,8 @@ def compute_cell_metrics(
     v_trip_read = solve_read_trip(cell, vdd, vb)
     v_write = solve_write_node(cell, vdd, vb)
     v_trip_write = solve_write_trip(cell, vdd, vb)
-    t_write = solve_write_time(cell, vdd, vb)
-    i_access = solve_access_current(cell, vdd, vb)
+    t_write = solve_write_time(cell, vdd, vb, v_trip=v_trip_write)
+    i_access = solve_access_current(cell, vdd, vb, v_read=v_read)
     v_hold_one, v_hold_zero = solve_hold_state(
         cell, conditions.vdd_standby, conditions.vsb, vb
     )

@@ -25,7 +25,7 @@ class TestBodyBiasGenerator:
 
 
 @pytest.fixture(scope="module")
-def pipeline(small_ctx=None):
+def pipeline():
     from repro.experiments.context import ExperimentContext
 
     # Target 1e-4: deep enough that the 5% redundancy keeps nominal

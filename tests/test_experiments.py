@@ -17,16 +17,8 @@ SIGMAS = np.array([0.02, 0.05])
 
 
 @pytest.fixture(scope="module")
-def ctx(small_ctx=None):
-    from repro.experiments.context import ExperimentContext
-
-    return ExperimentContext(
-        target=1e-4,
-        calibration_samples=8_000,
-        analysis_samples=4_000,
-        table_grid=7,
-        seed=99,
-    )
+def ctx(small_ctx):
+    return small_ctx
 
 
 class TestRepairFamily:

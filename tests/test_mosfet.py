@@ -114,3 +114,104 @@ class TestDrainCurrent:
             make_mosfet(tech, "nfet", width=100e-9)
         with pytest.raises(ValueError):
             make_nmos(tech, width=-1e-9)
+
+
+def _first_written_ids(device, vgs, vds, vsb):
+    """The EKV drain current for normalised voltages, as first written."""
+    from repro.devices.mosfet import _PHI_FLOOR, _T_REF
+
+    p = device.params
+    ut = device.ut
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    depletion = np.sqrt(np.maximum(p.phi_s + np.asarray(vsb, dtype=float),
+                                   _PHI_FLOOR))
+    body = p.gamma * (depletion - np.sqrt(p.phi_s))
+    vth0 = p.vth0 - p.vth_tempco * (device.temperature - _T_REF)
+    vth = vth0 + np.asarray(device.dvt, dtype=float) + body - p.dibl * vds
+    overdrive = vgs - vth
+    mu_t = p.mobility * (device.temperature / _T_REF) ** (
+        -p.mobility_temp_exponent
+    )
+    mu_eff = mu_t / (1.0 + p.theta * np.maximum(overdrive, 0.0))
+    i_spec = 2.0 * p.n_sub * mu_eff * device.cox * (device.width / device.length) * ut * ut
+    x_fwd = overdrive / (p.n_sub * ut)
+    x_rev = (overdrive - p.n_sub * vds) / (p.n_sub * ut)
+
+    def ekv_f(x):
+        return np.square(np.logaddexp(0.0, np.asarray(x, dtype=float) / 2.0))
+
+    return i_spec * (ekv_f(x_fwd) - ekv_f(x_rev))
+
+
+def two_orientation_current(device, vg, vd, vs, vb):
+    """``MOSFET.current`` as first written: the model evaluated in both
+    orientations and the right one picked per element.  The shipped
+    method evaluates once on the voltage-ordered terminals; it must give
+    the same bits."""
+    s = device.sign
+    vg = s * np.asarray(vg, dtype=float)
+    vd = s * np.asarray(vd, dtype=float)
+    vs = s * np.asarray(vs, dtype=float)
+    vb = s * np.asarray(vb, dtype=float)
+    vds = vd - vs
+    forward = vds >= 0.0
+    i_fwd = _first_written_ids(device, vg - vs, np.maximum(vds, 0.0), vs - vb)
+    i_rev = _first_written_ids(device, vg - vd, np.maximum(-vds, 0.0), vd - vb)
+    return np.where(forward, i_fwd, -i_rev)
+
+
+def assert_same_bits(actual, expected):
+    actual = np.asarray(actual)
+    expected = np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestSingleEvaluation:
+    """One model evaluation per call reproduces the two-orientation
+    formula bit for bit, in every orientation and broadcast."""
+
+    BIASES = np.linspace(-0.2, 1.2, 15)
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_vds_negative_zero_and_positive(self, nmos, pmos, polarity):
+        device = nmos if polarity == "nmos" else pmos
+        vd, vs = np.meshgrid(self.BIASES, self.BIASES)
+        for vb in (-0.3, 0.0, 0.3, 1.0):
+            for vg in (0.0, 0.45, 1.0):
+                assert_same_bits(
+                    device.current(vg=vg, vd=vd, vs=vs, vb=vb),
+                    two_orientation_current(device, vg, vd, vs, vb),
+                )
+        assert np.any(vd == vs) and np.any(vd < vs) and np.any(vd > vs)
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_signed_zero_vds(self, nmos, pmos, polarity):
+        device = nmos if polarity == "nmos" else pmos
+        # PMOS flips signs: vd = 0.0 and vs = -0.0 become -0.0 and 0.0,
+        # so the normalised vds is -0.0 (forward, by ``vds >= 0``).
+        for vd, vs in ((0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)):
+            for vg in (0.0, -1.0, 1.0):
+                assert_same_bits(
+                    device.current(vg=vg, vd=vd, vs=vs, vb=0.0),
+                    two_orientation_current(device, vg, vd, vs, 0.0),
+                )
+        zero = np.array([0.0, -0.0, 0.3])
+        assert_same_bits(
+            device.current(vg=1.0, vd=zero, vs=-zero, vb=0.0),
+            two_orientation_current(device, 1.0, zero, -zero, 0.0),
+        )
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_scalar_and_array_dvt_broadcast(self, nmos, pmos, polarity):
+        device = nmos if polarity == "nmos" else pmos
+        rng = np.random.default_rng(7)
+        dvt = rng.normal(0.0, 0.05, 64)
+        vd = self.BIASES[:, None]
+        for shifted in (device.with_dvt(0.03), device.with_dvt(dvt)):
+            expected = two_orientation_current(shifted, 0.8, vd, 0.4, 0.1)
+            actual = shifted.current(vg=0.8, vd=vd, vs=0.4, vb=0.1)
+            assert_same_bits(actual, expected)
+        assert actual.shape == (self.BIASES.size, dvt.size)

@@ -14,11 +14,13 @@ estimates consistent (the union is never smaller than a component).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.failures import rendezvous
 from repro.failures.criteria import FailureCriteria
 from repro.observability import diagnostics
 from repro.observability.metrics import observe
@@ -47,16 +49,19 @@ MECHANISMS = ("read", "write", "access", "hold")
 #: without giving up vectorisation.
 SOLVE_CHUNK = 16_384
 
+#: Most estimates one rendezvous runs together (each is a thread).
+MAX_RENDEZVOUS = 64
+
 
 def _chunked(
-    z: np.ndarray, evaluate, mechanisms: tuple[str, ...]
+    shift: np.ndarray, z: np.ndarray, evaluate, mechanisms: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    """Evaluate ``z`` through ``evaluate`` in vectorised chunks."""
+    """Evaluate the rows ``(shift, z)`` through ``evaluate`` in chunks."""
     n = z.shape[0]
     if n <= SOLVE_CHUNK:
-        return evaluate(z)
+        return evaluate(shift, z)
     parts = [
-        evaluate(z[start: start + SOLVE_CHUNK])
+        evaluate(shift[start: start + SOLVE_CHUNK], z[start: start + SOLVE_CHUNK])
         for start in range(0, n, SOLVE_CHUNK)
     ]
     return {
@@ -65,100 +70,93 @@ def _chunked(
     }
 
 
-class _CellProblem:
-    """The four-mechanism cell margins as a sampler-facing problem.
+def _cell(
+    analyzer: "CellFailureAnalyzer", shift: np.ndarray, z: np.ndarray
+) -> SixTCell:
+    """The cells of rows ``z`` at per-row inter-die shifts ``shift``.
+
+    Each device's ΔVt is ``shift + z_i * sigma_i``: the one addition
+    :meth:`SixTCell.device` makes of a corner and an intra-die delta,
+    so rows at different corners solve side by side, bit for bit.
+    """
+    sigmas = cell_sigma_vt(analyzer.tech, analyzer.geometry)
+    dvt = {
+        name: shift + z[:, i] * sigmas[name]
+        for i, name in enumerate(TRANSISTORS)
+    }
+    return SixTCell(analyzer.tech, analyzer.geometry, ProcessCorner(0.0), dvt)
+
+
+class _Problem:
+    """A (corner, bias) estimate's margins, as a sampler-facing problem.
+
+    :meth:`margins` goes through :func:`rendezvous.solve`, so inside a
+    batch call the rows of every estimate at the same bias point are
+    solved together; the corner travels as a per-row shift.
+    """
+
+    dims = len(TRANSISTORS)
+
+    def __init__(
+        self,
+        analyzer: "CellFailureAnalyzer",
+        corner: ProcessCorner,
+        conditions: OperatingConditions,
+    ) -> None:
+        self._analyzer = analyzer
+        self._corner = corner
+        self._conditions = conditions
+
+    def margins(self, z: np.ndarray) -> dict[str, np.ndarray]:
+        z = np.atleast_2d(z)
+        shift = np.full(z.shape[0], self._corner.dvt_inter)
+        key = (type(self), self._analyzer, self._conditions)
+        with trace("solve"):
+            return rendezvous.solve(key, self._solve, shift, z)
+
+    def _solve(self, shift: np.ndarray, z: np.ndarray) -> dict[str, np.ndarray]:
+        """Margins of the rows; depends on the analyzer and bias only."""
+        return _chunked(shift, z, self._evaluate, self.mechanisms)
+
+
+class _CellProblem(_Problem):
+    """The four-mechanism cell margins.
 
     Margins replicate the :class:`FailureCriteria` predicates exactly
     (``margin < 0`` iff the predicate fires), so the strategy samplers
     classify identically to the legacy path.
     """
 
-    dims = len(TRANSISTORS)
     mechanisms = MECHANISMS
 
-    def __init__(
-        self,
-        analyzer: "CellFailureAnalyzer",
-        corner: ProcessCorner,
-        conditions: OperatingConditions,
-    ) -> None:
-        self._analyzer = analyzer
-        self._corner = corner
-        self._conditions = conditions
-        self._sigmas = cell_sigma_vt(analyzer.tech, analyzer.geometry)
-
-    def _dvt(self, z: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            name: z[:, i] * self._sigmas[name]
-            for i, name in enumerate(TRANSISTORS)
-        }
-
-    def margins(self, z: np.ndarray) -> dict[str, np.ndarray]:
+    def _evaluate(self, shift, z) -> dict[str, np.ndarray]:
         analyzer = self._analyzer
-
-        def evaluate(chunk: np.ndarray) -> dict[str, np.ndarray]:
-            cell = SixTCell(
-                analyzer.tech,
-                analyzer.geometry,
-                self._corner,
-                self._dvt(chunk),
-            )
-            with trace("solve"):
-                metrics = compute_cell_metrics(cell, self._conditions)
-            criteria = analyzer.criteria
-            t_write = np.where(
-                np.isfinite(metrics.t_write), metrics.t_write, 1e6
-            )
-            return {
-                "read": metrics.read_margin - criteria.delta_read,
-                "write": criteria.t_write_max - t_write,
-                "access": metrics.i_access - criteria.i_access_min,
-                "hold": (
-                    metrics.hold_margin_fraction - criteria.hold_fraction_min
-                ),
-            }
-
-        return _chunked(np.atleast_2d(z), evaluate, self.mechanisms)
+        metrics = compute_cell_metrics(
+            _cell(analyzer, shift, z), self._conditions
+        )
+        criteria = analyzer.criteria
+        t_write = np.where(np.isfinite(metrics.t_write), metrics.t_write, 1e6)
+        return {
+            "read": metrics.read_margin - criteria.delta_read,
+            "write": criteria.t_write_max - t_write,
+            "access": metrics.i_access - criteria.i_access_min,
+            "hold": metrics.hold_margin_fraction - criteria.hold_fraction_min,
+        }
 
     def direction_seeds(self) -> dict[str, np.ndarray]:
         return self._analyzer._direction_seeds(self._conditions)
 
 
-class _HoldProblem:
+class _HoldProblem(_Problem):
     """The hold margin alone (the ASB surface's hot path)."""
 
-    dims = len(TRANSISTORS)
     mechanisms = ("hold",)
 
-    def __init__(
-        self,
-        analyzer: "CellFailureAnalyzer",
-        corner: ProcessCorner,
-        conditions: OperatingConditions,
-    ) -> None:
-        self._analyzer = analyzer
-        self._corner = corner
-        self._conditions = conditions
-        self._sigmas = cell_sigma_vt(analyzer.tech, analyzer.geometry)
+    def _evaluate(self, shift, z) -> dict[str, np.ndarray]:
+        conditions = self._conditions
+        margin = compute_hold_margin(_cell(self._analyzer, shift, z), conditions)
         rail = conditions.vdd_standby - conditions.vsb
-        self._threshold = analyzer.criteria.hold_fraction_min * rail
-
-    def margins(self, z: np.ndarray) -> dict[str, np.ndarray]:
-        analyzer = self._analyzer
-
-        def evaluate(chunk: np.ndarray) -> dict[str, np.ndarray]:
-            dvt = {
-                name: chunk[:, i] * self._sigmas[name]
-                for i, name in enumerate(TRANSISTORS)
-            }
-            cell = SixTCell(
-                analyzer.tech, analyzer.geometry, self._corner, dvt
-            )
-            with trace("solve"):
-                margin = compute_hold_margin(cell, self._conditions)
-            return {"hold": margin - self._threshold}
-
-        return _chunked(np.atleast_2d(z), evaluate, self.mechanisms)
+        return {"hold": margin - self._analyzer.criteria.hold_fraction_min * rail}
 
     def direction_seeds(self) -> dict[str, np.ndarray]:
         # FORM cannot represent the cliff-like hold limit state; the
@@ -176,6 +174,23 @@ def _hold_point(task) -> MonteCarloResult:
     """Worker entry point: one hold-only estimate (picklable)."""
     analyzer, corner, conditions = task
     return analyzer.hold_failure_probability(corner, conditions)
+
+
+def _coalesced(task) -> list:
+    """A group of points as one rendezvous (picklable executor task)."""
+    point, tasks = task
+    return rendezvous.run([functools.partial(point, t) for t in tasks])
+
+
+def _rendezvous_width(n_samples: int) -> int:
+    """Points per rendezvous at ``n_samples`` cells per estimate.
+
+    A stage of an estimate solves at most about ``n_samples`` rows, so
+    ``SOLVE_CHUNK // n_samples`` estimates fill one solver chunk: a
+    shared solve is never split again, and a rendezvous holds about one
+    chunk of rows at a time.  1 means pointwise.
+    """
+    return max(1, min(SOLVE_CHUNK // max(n_samples, 1), MAX_RENDEZVOUS))
 
 
 @dataclass(frozen=True)
@@ -406,30 +421,25 @@ class CellFailureAnalyzer:
                 inline.  Because every point derives its RNG stream
                 from its own (corner, bias) key via :meth:`_seed_for`,
                 the results are bit-identical at any worker count.
+
+        Outside the legacy path, without a pool, the points'
+        estimates run stage by stage together in groups of
+        :func:`_rendezvous_width` (:mod:`repro.failures.rendezvous`):
+        every pilot of a group at one bias point is one solver call,
+        then every main stage.  A serial executor runs each group as
+        one task; a pool runs one task per point.
         """
-        if conditions_list is None:
-            conditions_list = [None] * len(corners)
-        if len(conditions_list) != len(corners):
-            raise ValueError(
-                f"conditions_list has {len(conditions_list)} entries "
-                f"for {len(corners)} corners"
-            )
+        tasks = self._tasks(corners, conditions_list)
         if self.sampler == "adaptive-is":
             # Warm the MPFP seed memo for every distinct bias point
             # *before* fan-out: the seeds ride to the workers inside
             # the pickled analyzer, so the (one-off) FORM search runs
             # once per table build instead of once per worker.
-            for conditions in conditions_list:
+            for _, _, conditions in tasks:
                 self._direction_seeds(
                     conditions if conditions is not None else self.conditions
                 )
-        tasks = [
-            (self, corner, conditions)
-            for corner, conditions in zip(corners, conditions_list)
-        ]
-        if executor is None:
-            return [_failure_point(task) for task in tasks]
-        return executor.map(_failure_point, tasks)
+        return self._map(_failure_point, tasks, executor)
 
     def hold_failure_probability_batch(
         self,
@@ -439,10 +449,15 @@ class CellFailureAnalyzer:
     ) -> list[MonteCarloResult]:
         """:meth:`hold_failure_probability` over a whole sweep at once.
 
-        Same fan-out and determinism contract as
+        Same fan-out, batching and determinism contract as
         :meth:`failure_probabilities_batch`; this is the hot path of
         the ASB (corner, VSB) surface build.
         """
+        return self._map(
+            _hold_point, self._tasks(corners, conditions_list), executor
+        )
+
+    def _tasks(self, corners, conditions_list) -> list[tuple]:
         if conditions_list is None:
             conditions_list = [None] * len(corners)
         if len(conditions_list) != len(corners):
@@ -450,13 +465,30 @@ class CellFailureAnalyzer:
                 f"conditions_list has {len(conditions_list)} entries "
                 f"for {len(corners)} corners"
             )
-        tasks = [
+        return [
             (self, corner, conditions)
             for corner, conditions in zip(corners, conditions_list)
         ]
+
+    def _map(self, point, tasks: list, executor) -> list:
+        """``point`` over ``tasks``: inline in row-limited rendezvous
+        groups, else pointwise (the legacy path, a pool, or estimates
+        of a solver chunk each)."""
+        width = _rendezvous_width(self.n_samples)
+        inline = executor is None or executor.is_serial
+        if self._legacy_path or width == 1 or not inline:
+            if executor is None:
+                return [point(task) for task in tasks]
+            return executor.map(point, tasks)
+        groups = [
+            (point, tasks[start: start + width])
+            for start in range(0, len(tasks), width)
+        ]
         if executor is None:
-            return [_hold_point(task) for task in tasks]
-        return executor.map(_hold_point, tasks)
+            parts = [_coalesced(group) for group in groups]
+        else:
+            parts = executor.map(_coalesced, groups)
+        return [result for part in parts for result in part]
 
     def hold_failure_probability(
         self,

@@ -149,6 +149,24 @@ def _fold(target: _state.Scope, scope: _state.Scope) -> None:
     target.recorder.merge(scope.recorder.snapshot())
 
 
+def detached_scope() -> _state.Scope:
+    """Fresh collectors under this context's run id, registered nowhere.
+
+    Where one of several estimates running side by side on their own
+    threads writes (see :mod:`repro.failures.rendezvous`): a tracer's
+    span stack belongs to its scope, so each needs its own.  The owner
+    merges it back with :func:`repro.observability.merge_worker`, as it
+    merges a pool worker's snapshot; until then process totals do not
+    include it, as they do not include a worker's.
+    """
+    scope = _state.Scope()
+    scope.run_id = _state.current_run_id()
+    scope.registry = MetricsRegistry()
+    scope.tracer = Tracer()
+    scope.recorder = DiagnosticsRecorder()
+    return scope
+
+
 def totals() -> dict:
     """The process totals, root plus every active scope, as
     :func:`collected` blocks (the root's own when no scope is active).

@@ -28,35 +28,46 @@ The library stacks up as:
   regenerating every result of the evaluation.
 """
 
-from repro.core.body_bias import BodyBiasGenerator, SelfRepairingSRAM
-from repro.core.lot import LotReport, LotSimulator
-from repro.core.tuning import PostSiliconTuner
-from repro.core.monitor import LeakageMonitor
-from repro.core.source_bias import (
-    BISTController,
-    SelfAdaptiveSourceBias,
-    SourceBiasDAC,
-)
-from repro.failures import (
-    CellFailureAnalyzer,
-    FailureCriteria,
-    MpfpEstimator,
-    calibrate_criteria,
-)
-from repro.parallel import ParallelExecutor, ResultCache
-from repro.sram import (
-    ArrayOrganization,
-    CellGeometry,
-    FunctionalMemoryArray,
-    OperatingConditions,
-    SixTCell,
-)
-from repro.technology import (
-    InterDieDistribution,
-    ProcessCorner,
-    TechnologyParameters,
-    predictive_70nm,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """PEP 562 hooks for a package root: ``exports`` maps each module to
+    its public names, each imported on first access and then bound."""
+    origin = {n: m for m, names in exports.items() for n in names.split()}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in origin:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(origin[name]), name)
+        return namespace[name]
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | origin.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.body_bias": "BodyBiasGenerator SelfRepairingSRAM",
+    "repro.core.lot": "LotReport LotSimulator",
+    "repro.core.monitor": "LeakageMonitor",
+    "repro.core.source_bias": "BISTController SelfAdaptiveSourceBias SourceBiasDAC",
+    "repro.core.tuning": "PostSiliconTuner",
+    "repro.failures.analysis": "CellFailureAnalyzer",
+    "repro.failures.criteria": "FailureCriteria calibrate_criteria",
+    "repro.failures.mpfp": "MpfpEstimator",
+    "repro.parallel.cache": "ResultCache",
+    "repro.parallel.executor": "ParallelExecutor",
+    "repro.sram.array": "ArrayOrganization FunctionalMemoryArray",
+    "repro.sram.cell": "CellGeometry SixTCell",
+    "repro.sram.metrics": "OperatingConditions",
+    "repro.technology.corners": "ProcessCorner",
+    "repro.technology.parameters": "TechnologyParameters predictive_70nm",
+    "repro.technology.variation": "InterDieDistribution",
+})
 
 __version__ = "0.1.0"
 

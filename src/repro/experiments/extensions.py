@@ -26,14 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.body_bias import BodyBiasGenerator, SelfRepairingSRAM
 from repro.core.delay_monitor import CombinedMonitor, DelayMonitor, RingOscillator
 from repro.core.monitor import LeakageMonitor
 from repro.experiments.context import ExperimentContext, default_context
 from repro.sram.array import ArrayOrganization
 from repro.sram.cell import SixTCell, sample_cell_dvt
 from repro.sram.drv import array_drv, cell_drv, safe_standby_voltage
+from repro.sram.ecc import memory_failure_with_ecc
+from repro.sram.eight_t import (
+    EightTGeometry,
+    eight_t_failure_probabilities,
+    sample_eight_t,
+)
 from repro.sram.leakage import cell_leakage
+from repro.sram.snm import hold_snm, read_snm
 from repro.sram.timing import access_time, read_cycle_time
+from repro.stats.yield_model import memory_failure_probability
 from repro.technology.corners import ProcessCorner
 
 
@@ -339,10 +348,6 @@ def ext_ecc(
     fortiori redundancy + post-silicon repair) dominates ECC — the
     quantitative argument for why ECC is reserved for soft errors.
     """
-    from repro.core.body_bias import BodyBiasGenerator, SelfRepairingSRAM
-    from repro.stats.yield_model import memory_failure_probability
-    from repro.sram.ecc import memory_failure_with_ecc
-
     ctx = ctx if ctx is not None else default_context()
     shifts = shifts if shifts is not None else np.linspace(-0.06, 0.06, 9)
     n_cells = memory_kbytes * 1024 * 8
@@ -407,9 +412,6 @@ def ext_snm(
     RBB widens the read butterfly (the read-failure repair) and FBB
     narrows it; the hold SNM barely moves at full supply.
     """
-    from repro.sram.cell import sample_cell_dvt
-    from repro.sram.snm import hold_snm, read_snm
-
     ctx = ctx if ctx is not None else default_context()
     vbody = vbody if vbody is not None else np.array([-0.4, -0.2, 0.0, 0.25])
     rng = np.random.default_rng((ctx.seed, 91))
@@ -467,12 +469,6 @@ def ext_8t(
     unchanged.  The comparison quantifies what the paper's post-silicon
     RBB repair buys *without* paying the 8T's ~33% area.
     """
-    from repro.sram.eight_t import (
-        EightTGeometry,
-        eight_t_failure_probabilities,
-        sample_eight_t,
-    )
-
     ctx = ctx if ctx is not None else default_context()
     shifts = shifts if shifts is not None else np.linspace(-0.1, 0.1, 9)
     analyzer = ctx.analyzer()

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.failures import rendezvous
 from repro.failures.criteria import FailureCriteria
+from repro.failures.mpfp import MpfpEstimator
 from repro.observability import diagnostics
 from repro.observability.metrics import observe
 from repro.observability.tracing import trace
@@ -306,8 +307,6 @@ class CellFailureAnalyzer:
         )
         memo = self.__dict__.setdefault("_seed_memo", {})
         if key not in memo:
-            from repro.failures.mpfp import MpfpEstimator
-
             estimator = MpfpEstimator(
                 self.tech, self.criteria, self.geometry, conditions
             )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sram.cell import SixTCell
+from repro.sram.cell import CellGeometry, SixTCell
 from repro.sram.metrics import CellMetrics, OperatingConditions, compute_cell_metrics
 from repro.stats.montecarlo import weighted_quantile
 from repro.stats.sampling import importance_sample_dvt
@@ -116,8 +116,6 @@ def calibrate_criteria(
             leakage-driven left side of the paper's hold bathtub.  The
             floor keeps the threshold on the droop branch.
     """
-    from repro.sram.cell import CellGeometry  # local: keep module deps light
-
     if not 0.0 < target < 0.5:
         raise ValueError(f"target must be in (0, 0.5), got {target}")
     if hold_target is None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.failures.criteria import FailureCriteria
 from repro.observability.metrics import incr
@@ -40,6 +39,7 @@ from repro.sram.solver import (
     solve_read_trip,
     solve_write_time,
 )
+from repro.stats.distributions import normal_cdf
 from repro.technology.corners import ProcessCorner
 from repro.technology.parameters import TechnologyParameters
 
@@ -286,7 +286,7 @@ class MpfpEstimator:
             beta = -beta
         return MpfpResult(
             beta=beta,
-            probability=float(sp_stats.norm.sf(beta)),
+            probability=float(normal_cdf(-beta)),
             z={name: float(z[i]) for i, name in enumerate(TRANSISTORS)},
             converged=converged,
         )

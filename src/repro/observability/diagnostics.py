@@ -93,10 +93,10 @@ def clopper_pearson_interval(
     if n <= 0:
         return (0.0, 1.0)
     k = min(max(int(successes), 0), int(n))
-    from scipy.stats import beta  # deferred: keep module import light
+    from scipy.special import betaincinv  # the cell kernel loads no scipy
 
-    low = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
-    high = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return (low, high)
 
 

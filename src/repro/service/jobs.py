@@ -52,7 +52,9 @@ import numpy as np
 
 from repro import cancellation, durable, faults
 from repro.checkpoint import FLUSH_EVERY
+from repro.experiments.asb import HoldProbabilityTable
 from repro.experiments.context import ExperimentContext
+from repro.failures.analysis import MECHANISMS
 from repro.observability.context import RunContext, RunScope
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr, observe, registry, set_gauge
@@ -153,8 +155,6 @@ def run_spec(
         checkpoint_every=checkpoint_every,
     )
     if spec["kind"] == "table":
-        from repro.failures.analysis import MECHANISMS
-
         surfaces = []
         corner_grid: list[float] = []
         for vbody in spec["vbody_levels"]:
@@ -189,8 +189,6 @@ def run_spec(
             "corner_grid": corner_grid,
             "surfaces": surfaces,
         }
-
-    from repro.experiments.asb import HoldProbabilityTable
 
     corner_grid = [
         float(x) for x in np.linspace(-0.12, 0.12, spec["corner_points"])

@@ -13,24 +13,20 @@
   functional memory array the BIST drives.
 """
 
-from repro.sram.array import ArrayOrganization, FunctionalMemoryArray
-from repro.sram.cell import TRANSISTORS, CellGeometry, SixTCell, sample_cell_dvt
-from repro.sram.leakage import LeakageBreakdown, cell_leakage
-from repro.sram.drv import array_drv, cell_drv, safe_standby_voltage
-from repro.sram.eight_t import (
-    EightTCell,
-    EightTGeometry,
-    eight_t_failure_probabilities,
-    sample_eight_t,
-)
-from repro.sram.metrics import CellMetrics, OperatingConditions, compute_cell_metrics
-from repro.sram.repair import (
-    RepairPlan,
-    allocate_columns,
-    allocate_rows_and_columns,
-)
-from repro.sram.snm import butterfly_snm, hold_snm, read_snm
-from repro.sram.timing import BitlineModel, access_time, read_cycle_time
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sram.array": "ArrayOrganization FunctionalMemoryArray",
+    "repro.sram.cell": "TRANSISTORS CellGeometry SixTCell sample_cell_dvt",
+    "repro.sram.drv": "array_drv cell_drv safe_standby_voltage",
+    "repro.sram.eight_t": "EightTCell EightTGeometry "
+    "eight_t_failure_probabilities sample_eight_t",
+    "repro.sram.leakage": "LeakageBreakdown cell_leakage",
+    "repro.sram.metrics": "CellMetrics OperatingConditions compute_cell_metrics",
+    "repro.sram.repair": "RepairPlan allocate_columns allocate_rows_and_columns",
+    "repro.sram.snm": "butterfly_snm hold_snm read_snm",
+    "repro.sram.timing": "BitlineModel access_time read_cycle_time",
+})
 
 __all__ = [
     "CellGeometry",

@@ -29,7 +29,7 @@ import numpy as np
 if TYPE_CHECKING:  # runtime use is duck-typed to avoid an import cycle
     from repro.failures.criteria import FailureCriteria
 
-from repro.sram.cell import SixTCell, sample_cell_dvt
+from repro.sram.cell import CellGeometry, SixTCell, sample_cell_dvt
 from repro.sram.metrics import (
     OperatingConditions,
     compute_cell_metrics,
@@ -140,8 +140,6 @@ class FunctionalMemoryArray:
         conditions: OperatingConditions | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        from repro.sram.cell import CellGeometry
-
         self.tech = tech
         self.organization = organization
         self.criteria = criteria

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+
+from repro.stats.distributions import binomial_sf
 
 
 def _parity_check_matrix(n_data: int) -> tuple[np.ndarray, int]:
@@ -151,7 +152,7 @@ def word_failure_probability(p_cell: float, word_bits: int) -> float:
     """P(>= 2 bad cells in a word) — what SEC-DED cannot absorb."""
     if word_bits < 1:
         raise ValueError(f"word_bits must be positive, got {word_bits}")
-    return float(sp_stats.binom.sf(1, word_bits, min(max(p_cell, 0.0), 1.0)))
+    return binomial_sf(1, word_bits, min(max(p_cell, 0.0), 1.0))
 
 
 def memory_failure_with_ecc(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.devices.factory import make_nmos
 from repro.failures.criteria import FailureCriteria
 from repro.sram.cell import CellGeometry, SixTCell
 from repro.sram.metrics import OperatingConditions, compute_cell_metrics
@@ -80,8 +81,6 @@ class EightTCell:
         read wordline gates the access device); the current is set by
         the series solution of the intermediate node.
         """
-        from repro.devices.factory import make_nmos
-
         corner = self.core.corner.dvt_inter
         driver = make_nmos(
             self.tech, self.buffer.w_read_driver,

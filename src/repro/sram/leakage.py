@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.leakage import gate_leakage, junction_leakage
-from repro.sram.cell import SixTCell
+from repro.sram.cell import SixTCell, sample_cell_dvt
 
 ArrayF = np.ndarray
 
@@ -127,8 +127,6 @@ def sample_array_leakage(
     central-limit behaviour (cell distributions overlap across corners,
     array distributions separate).  Sampling is chunked to bound memory.
     """
-    from repro.sram.cell import sample_cell_dvt  # local import avoids cycle
-
     if cells_per_array <= 0 or n_arrays <= 0:
         raise ValueError("cells_per_array and n_arrays must be positive")
     arrays_per_chunk = max(1, chunk_cells // cells_per_array)

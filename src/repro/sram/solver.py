@@ -44,6 +44,10 @@ _ESTIMATE_STEPS = 2 * _BISECT_ITERS
 #: First probe from a guess, as a fraction of the bracket [lo, hi].
 _PROBE_STEP = 2.0**-6
 
+# Below glibc's default heap trim threshold (128 kB) every batch re-faults its
+# temporaries' pages; freeing one untouched 8 MB block raises it to 16 MB.
+np.empty(1 << 20)
+
 Net = Callable[[np.ndarray], np.ndarray]
 
 

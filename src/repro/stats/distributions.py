@@ -17,12 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import betainc, ndtr
 
 
 def normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
     """Standard normal CDF (the paper's Phi)."""
-    return sp_stats.norm.cdf(x)
+    return ndtr(x)
+
+
+def binomial_sf(k: int, n: int, p: float) -> float:
+    """P(X > k), X ~ Binomial(n, p): ``scipy.stats.binom.sf`` exactly."""
+    if not 0.0 <= p <= 1.0:
+        return float("nan")
+    return 1.0 if k < 0 else 0.0 if k >= n else float(betainc(k + 1, n - k, p))
 
 
 @dataclass(frozen=True)

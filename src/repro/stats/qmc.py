@@ -15,8 +15,6 @@ convergence comparison lives in ``tests/test_qmc.py``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
-from scipy.stats import qmc
 
 from repro.sram.cell import TRANSISTORS, CellGeometry, cell_sigma_vt
 from repro.technology.parameters import TechnologyParameters
@@ -42,6 +40,8 @@ def sobol_cell_dvt(
     """
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
+    from scipy.stats import norm, qmc  # the only scipy.stats user
+
     sigmas = cell_sigma_vt(tech, geometry)
     sampler = qmc.Sobol(d=len(TRANSISTORS), scramble=scramble, seed=seed)
     m = int(np.ceil(np.log2(size)))
@@ -49,7 +49,7 @@ def sobol_cell_dvt(
     # Keep strictly inside (0, 1) for the inverse CDF.
     eps = 1e-12
     points = np.clip(points, eps, 1.0 - eps)
-    normals = sp_stats.norm.ppf(points)
+    normals = norm.ppf(points)
     return {
         name: normals[:, i] * sigmas[name]
         for i, name in enumerate(TRANSISTORS)

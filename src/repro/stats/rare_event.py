@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import ndtri
 
 from repro.observability.diagnostics import weight_diagnostics
 from repro.observability.metrics import incr, observe, set_gauge
@@ -81,7 +81,7 @@ def tuned_scale(target_probability: float, dims: int) -> float:
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
     p = float(np.clip(target_probability, 1e-12, 0.5))
-    beta = float(sp_stats.norm.isf(p))
+    beta = float(-ndtri(p))
     return float(np.clip(beta / np.sqrt(dims), _SCALE_MIN, _SCALE_MAX))
 
 

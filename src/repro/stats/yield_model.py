@@ -22,7 +22,7 @@ the bias it chooses — as the per-corner callable.
 
 Numerics: cell failure probabilities are tiny, so ``1 - (1-p)^n`` is
 evaluated via ``expm1``/``log1p`` and the binomial survival function via
-``scipy.stats.binom`` which is stable in the tails.
+the regularised incomplete beta, which is stable in the tails.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.observability.metrics import incr
-from repro.stats.distributions import NormalDistribution
+from repro.stats.distributions import NormalDistribution, binomial_sf
 from repro.stats.integration import dense_expectation
 from repro.technology.corners import ProcessCorner
 from repro.technology.variation import InterDieDistribution
@@ -66,11 +65,7 @@ def memory_failure_probability(
     spares one-for-one).
     """
     p_col = float(column_failure_probability(p_cell, organization.rows))
-    return float(
-        sp_stats.binom.sf(
-            organization.redundant_columns, organization.columns, p_col
-        )
-    )
+    return binomial_sf(organization.redundant_columns, organization.columns, p_col)
 
 
 def _checked(

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -29,10 +30,10 @@ from repro.failures.analysis import (
 )
 from repro.observability import diagnostics
 from repro.observability.diagnostics import BatchDiagnostics
-from repro.observability.log import get_logger
+from repro.observability.log import EventLogger, get_logger
 from repro.observability.metrics import incr, observe
 from repro.observability.tracing import trace
-from repro.parallel.cache import cached_surface, fingerprint
+from repro.parallel.cache import fingerprint
 from repro.sram.metrics import OperatingConditions
 from repro.stats.montecarlo import MonteCarloResult
 from repro.technology.corners import ProcessCorner
@@ -44,8 +45,114 @@ if TYPE_CHECKING:  # pragma: no cover - hint-only imports
 
 _log = get_logger("core.tables")
 
-#: Probability floor to keep log-space interpolation finite.
-_P_FLOOR = 1e-12
+
+@dataclass(frozen=True)
+class Surface:
+    """What sets one kind of estimate grid apart in :func:`build_surface`."""
+
+    kind: str  # cache and checkpoint kind (the file name prefix)
+    prefix: str  # of its log events, counter and histogram
+    floor: float  # probability floor that keeps log10(p) finite
+    counts: tuple[str, str]  # unconverged-warning fields: (count, total)
+    log: EventLogger
+    #: One point's result as ``{mechanism: estimate}``, headline last.
+    estimates: Callable[[object], dict[str, MonteCarloResult]]
+    #: One point's result from its checkpointed JSON.
+    decode: Callable[[dict], object]
+
+
+def build_surface(
+    surface: Surface,
+    key: dict,
+    points: Sequence[tuple[ProcessCorner, OperatingConditions]],
+    batch: Callable,
+    finish: Callable[[dict[str, list[float]]], object],
+    *,
+    scope: str,
+    start: dict,
+    cached: dict,
+    executor: "ParallelExecutor | None",
+    cache: "ResultCache | None",
+    checkpoint: "CheckpointStore | None",
+) -> tuple[object, BatchDiagnostics]:
+    """``(log10 probability, health)`` of an estimate grid: stored, or built.
+
+    The one build behind both surfaces.  A hit re-records the stored
+    health under ``scope``, so a warm run's verdict matches the cold
+    run's.  A miss runs the analyzer's ``batch`` method over the
+    ``(corner, conditions)`` points, checkpointed under the fingerprint
+    of ``key`` (each point seeds its own RNG stream from its key, so a
+    resumed build is bit-identical), reports every estimate's health,
+    and stores what ``finish`` makes of ``{mechanism: [log10 p]}``.
+    ``start`` and ``cached`` are the fields of those two log events.
+    """
+    if cache is not None:
+        stored = cache.get(surface.kind, key)
+        if stored is not None:
+            health = BatchDiagnostics.from_dict(stored["diagnostics"])
+            diagnostics.record_batch(scope, health)
+            surface.log.info(f"{surface.prefix}.build.cached", **cached)
+            return stored["log10_probability"], health
+    surface.log.info(f"{surface.prefix}.build.start", **start)
+
+    def compute(indices) -> list:
+        return batch(
+            [points[i][0] for i in indices],
+            [points[i][1] for i in indices],
+            executor=executor,
+        )
+
+    results = resumable_map(
+        checkpoint, surface.kind, fingerprint(key), len(points), compute,
+        dataclasses.asdict, surface.decode,
+    )
+    estimates = [surface.estimates(result) for result in results]
+    health = diagnostics.summarize(
+        [list(point.values())[-1] for point in estimates]
+    )
+    for point in estimates:
+        for result in point.values():
+            diagnostics.record(scope, result)
+    incr(f"{surface.prefix}.unconverged_cells", health.unconverged)
+    if health.worst_ci_halfwidth is not None:
+        observe(f"{surface.prefix}.worst_ci_halfwidth", health.worst_ci_halfwidth)
+    if health.unconverged:
+        count, total = surface.counts
+        surface.log.warning(
+            f"{surface.prefix}.build.unconverged",
+            **{count: health.unconverged, total: len(points)},
+            min_ess=round(health.min_ess, 1),
+        )
+    log10_probability = finish(
+        {
+            name: [
+                float(np.log10(min(max(point[name].estimate, surface.floor), 1.0)))
+                for point in estimates
+            ]
+            for name in estimates[0]
+        }
+    )
+    if cache is not None:
+        cache.put(
+            surface.kind,
+            key,
+            {"log10_probability": log10_probability, "diagnostics": health.as_dict()},
+        )
+    return log10_probability, health
+
+
+#: The corner-grid failure table: every mechanism plus the union.
+FAILURE_SURFACE = Surface(
+    kind="failure-table",
+    prefix="table",
+    floor=1e-12,
+    counts=("cells", "grid"),
+    log=_log,
+    estimates=lambda probs: {name: probs[name] for name in MECHANISMS + ("any",)},
+    decode=lambda raw: FailureProbabilities(
+        **{name: MonteCarloResult(**value) for name, value in raw.items()}
+    ),
+)
 
 
 class FailureProbabilityTable:
@@ -90,138 +197,47 @@ class FailureProbabilityTable:
             conditions if conditions is not None else analyzer.conditions
         )
         self.grid = np.linspace(corner_min, corner_max, n_grid)
-        self._executor = executor
-        self._cache = cache
-        self._checkpoint = checkpoint
-        self._splines: dict[str, PchipInterpolator] = {}
         #: Estimator health of the grid build (worst-cell CI half-width,
         #: minimum ESS, unconverged-cell count over the union-mechanism
-        #: estimates); ``None`` only when reloaded from a cache entry
-        #: written before diagnostics existed.
-        self.diagnostics: BatchDiagnostics | None = None
-        self._build()
-
-    def _cache_key(self) -> dict:
-        """Everything the grid estimates depend on, as a JSON payload."""
-        analyzer = self.analyzer
-        return {
-            "technology": dataclasses.asdict(analyzer.tech),
-            "criteria": dataclasses.asdict(analyzer.criteria),
-            "geometry": dataclasses.asdict(analyzer.geometry),
-            "conditions": dataclasses.asdict(self.conditions),
-            "n_samples": analyzer.n_samples,
-            "scale": analyzer.scale,
-            "sampler": analyzer.sampler,
-            "seed": analyzer.seed,
-            "grid": [float(x) for x in self.grid],
-        }
+        #: estimates).
+        self.diagnostics: BatchDiagnostics
+        self._build(executor, cache, checkpoint)
 
     @trace("table.build")
-    def _build(self) -> None:
-        start = time.perf_counter()
-        key = self._cache_key()
+    def _build(self, executor, cache, checkpoint) -> None:
+        began = time.perf_counter()
+        analyzer, n = self.analyzer, self.grid.size
 
-        def build() -> tuple[dict, BatchDiagnostics]:
-            _log.info(
-                "table.build.start",
-                grid=self.grid.size,
-                n_samples=self.analyzer.n_samples,
-                vbody=self.conditions.vbody_n,
-            )
-            results = self._compute_grid(key)
-            log_p = {name: [] for name in MECHANISMS + ("any",)}
-            for probs in results:
-                for name in MECHANISMS + ("any",):
-                    p = max(probs[name].estimate, _P_FLOOR)
-                    log_p[name].append(float(np.log10(min(p, 1.0))))
-            self._record_diagnostics(results)
+        def finish(log_p: dict) -> dict:
             _log.info(
                 "table.build.done",
-                grid=self.grid.size,
-                seconds=round(time.perf_counter() - start, 3),
+                grid=n,
+                seconds=round(time.perf_counter() - began, 3),
             )
-            return log_p, self.diagnostics
+            return log_p
 
-        log_p, self.diagnostics = cached_surface(
-            self._cache, "failure-table", key, build,
-            f"table[vbody={self.conditions.vbody_n:+.3f}]",
-            _log, "table.build.cached", grid=self.grid.size,
+        log_p, self.diagnostics = build_surface(
+            FAILURE_SURFACE,
+            analyzer.surface_key(
+                conditions=dataclasses.asdict(self.conditions),
+                grid=[float(x) for x in self.grid],
+            ),
+            [(ProcessCorner(float(x)), self.conditions) for x in self.grid],
+            analyzer.failure_probabilities_batch,
+            finish,
+            scope=f"table[vbody={self.conditions.vbody_n:+.3f}]",
+            start=dict(
+                grid=n, n_samples=analyzer.n_samples, vbody=self.conditions.vbody_n
+            ),
+            cached=dict(grid=n),
+            executor=executor,
+            cache=cache,
+            checkpoint=checkpoint,
         )
-        for name, values in log_p.items():
-            self._splines[name] = PchipInterpolator(
-                self.grid, np.array(values, dtype=float)
-            )
-
-    def _compute_grid(self, key: dict) -> list:
-        """Per-grid-cell failure estimates, checkpointed when enabled.
-
-        Without a checkpoint store this is one batch call.  With one,
-        missing cells are computed in flush-sized slices keyed by the
-        fingerprint of ``key`` (the cache key payload), so a killed
-        build resumes — and because every cell seeds its own RNG stream
-        from its (corner, bias) key, the resumed table is bit-identical.
-        """
-
-        def compute(indices) -> list:
-            return self.analyzer.failure_probabilities_batch(
-                [ProcessCorner(float(self.grid[i])) for i in indices],
-                [self.conditions] * len(indices),
-                executor=self._executor,
-            )
-
-        def encode(probs) -> dict:
-            return {
-                name: dataclasses.asdict(probs[name])
-                for name in MECHANISMS + ("any",)
-            }
-
-        def decode(raw) -> FailureProbabilities:
-            return FailureProbabilities(
-                **{
-                    name: MonteCarloResult(**raw[name])
-                    for name in MECHANISMS + ("any",)
-                }
-            )
-
-        return resumable_map(
-            self._checkpoint,
-            "failure-table",
-            fingerprint(key),
-            self.grid.size,
-            compute,
-            encode,
-            decode,
-        )
-
-    def _record_diagnostics(self, results) -> None:
-        """Summarise and report the grid estimates' statistical health.
-
-        The per-cell headline number is the union (``any``) estimate,
-        so the table-level summary — worst-cell CI half-width, minimum
-        ESS, ``unconverged_cells`` — is taken over it; all mechanism
-        estimates additionally feed the per-scope recorder so a run
-        report can localise which mechanism is starved.
-        """
-        self.diagnostics = diagnostics.summarize(
-            [probs["any"] for probs in results]
-        )
-        scope = f"table[vbody={self.conditions.vbody_n:+.3f}]"
-        for probs in results:
-            for name in MECHANISMS + ("any",):
-                diagnostics.record(scope, probs[name])
-        incr("table.unconverged_cells", self.diagnostics.unconverged)
-        if self.diagnostics.worst_ci_halfwidth is not None:
-            observe(
-                "table.worst_ci_halfwidth",
-                self.diagnostics.worst_ci_halfwidth,
-            )
-        if self.diagnostics.unconverged:
-            _log.warning(
-                "table.build.unconverged",
-                cells=self.diagnostics.unconverged,
-                grid=self.grid.size,
-                min_ess=round(self.diagnostics.min_ess, 1),
-            )
+        self._splines = {
+            name: PchipInterpolator(self.grid, np.array(values, dtype=float))
+            for name, values in log_p.items()
+        }
 
     def probability(
         self, corner: ProcessCorner | float, mechanism: str = "any"

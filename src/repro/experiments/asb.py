@@ -15,24 +15,22 @@ the statistical policies:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from repro.checkpoint import resumable_map
 from repro.core.source_bias import (
     SelfAdaptiveSourceBias,
     SourceBiasDAC,
 )
+from repro.core.tables import Surface, build_surface
 from repro.experiments.context import ExperimentContext, default_context
-from repro.observability import diagnostics
 from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
-from repro.observability.metrics import incr, observe
+from repro.observability.metrics import incr
 from repro.observability.tracing import trace
-from repro.parallel.cache import cached_surface, fingerprint
+from repro.parallel.cache import fingerprint
 from repro.power.standby import die_standby_power
 from repro.sram.array import ArrayOrganization, FunctionalMemoryArray
 from repro.stats.distributions import NormalDistribution
@@ -43,10 +41,19 @@ from repro.technology.variation import InterDieDistribution
 
 #: Default inter-die sweep [V].
 DEFAULT_SHIFTS = np.linspace(-0.1, 0.1, 9)
-#: Probability floor for log-space interpolation.
-_P_FLOOR = 1e-14
 
 _log = get_logger("experiments.asb")
+
+#: The (corner, VSB) hold surface: one hold estimate per node.
+HOLD_SURFACE = Surface(
+    kind="hold-table",
+    prefix="hold_table",
+    floor=1e-14,
+    counts=("nodes", "points"),
+    log=_log,
+    estimates=lambda result: {"hold": result},
+    decode=lambda raw: MonteCarloResult(**raw),
+)
 
 
 def default_asb_organization() -> ArrayOrganization:
@@ -81,9 +88,8 @@ class HoldProbabilityTable:
                            0.55, 0.575, 0.6, 0.63])
         )
         #: Estimator health of the surface build (worst-node CI
-        #: half-width, minimum ESS, unconverged node count); ``None``
-        #: only for cache entries written before diagnostics existed.
-        self.diagnostics: BatchDiagnostics | None = None
+        #: half-width, minimum ESS, unconverged node count).
+        self.diagnostics: BatchDiagnostics
         log_p = self._grid_log_probabilities(ctx)
         self._interp = RegularGridInterpolator(
             (self.corner_grid, self.vsb_grid), log_p,
@@ -92,90 +98,43 @@ class HoldProbabilityTable:
 
     @trace("hold_table.build")
     def _grid_log_probabilities(self, ctx: ExperimentContext) -> np.ndarray:
-        """The log10 hold-probability matrix, cached and fanned out.
-
-        All (corner, vsb) grid nodes are independent importance-sampled
-        estimates, so the build goes through the analyzer's batch API
-        (parallel when the context has workers) and, when the context
-        carries a result cache, is persisted under a fingerprint of the
-        full analyzer + grid payload.
-        """
+        """The log10 hold-probability matrix: one hold estimate per
+        (corner, vsb) node, built by :func:`repro.core.tables.build_surface`."""
         analyzer = ctx.analyzer()
-        key = {
-            "technology": dataclasses.asdict(ctx.tech),
-            "criteria": dataclasses.asdict(analyzer.criteria),
-            "geometry": dataclasses.asdict(ctx.geometry),
-            "n_samples": analyzer.n_samples,
-            "scale": analyzer.scale,
-            "sampler": analyzer.sampler,
-            "seed": analyzer.seed,
-            "corner_grid": [float(x) for x in self.corner_grid],
-            "vsb_grid": [float(x) for x in self.vsb_grid],
-        }
+        shape = (self.corner_grid.size, self.vsb_grid.size)
 
-        def build() -> tuple[list, BatchDiagnostics]:
-            _log.info(
-                "hold_table.build.start",
-                corners=self.corner_grid.size,
-                vsb_levels=self.vsb_grid.size,
-                points=self.corner_grid.size * self.vsb_grid.size,
+        def finish(log_p: dict) -> list:
+            # Raising the source bias can only degrade the retention
+            # margin, so the true surface is monotone increasing in VSB;
+            # estimates below the Monte-Carlo resolution jitter around
+            # the floor, and a running max restores the invariant the
+            # bisection policies (vsb_for_target, adaptive_vsb) rely on.
+            surface = np.maximum.accumulate(
+                np.array(log_p["hold"]).reshape(shape), axis=1
             )
-            corners = []
-            conditions = []
-            for dvt in self.corner_grid:
-                for vsb in self.vsb_grid:
-                    corners.append(ProcessCorner(float(dvt)))
-                    conditions.append(ctx.asb_conditions(float(vsb)))
+            return [[float(v) for v in row] for row in surface]
 
-            def compute(indices):
-                return analyzer.hold_failure_probability_batch(
-                    [corners[i] for i in indices],
-                    [conditions[i] for i in indices],
-                    executor=ctx.executor,
-                )
-
-            # Each (corner, vsb) node seeds its own RNG stream from its key,
-            # so a resumed build is bit-identical to a fresh one.
-            results = resumable_map(
-                getattr(ctx, "checkpoint_store", None),
-                "hold-table",
-                fingerprint(key),
-                len(corners),
-                compute,
-                dataclasses.asdict,
-                lambda raw: MonteCarloResult(**raw),
-            )
-            self.diagnostics = diagnostics.summarize(results)
-            for result in results:
-                diagnostics.record("hold_table", result)
-            incr("hold_table.unconverged_cells", self.diagnostics.unconverged)
-            if self.diagnostics.worst_ci_halfwidth is not None:
-                observe(
-                    "hold_table.worst_ci_halfwidth",
-                    self.diagnostics.worst_ci_halfwidth,
-                )
-            if self.diagnostics.unconverged:
-                _log.warning(
-                    "hold_table.build.unconverged",
-                    nodes=self.diagnostics.unconverged,
-                    points=len(results),
-                    min_ess=round(self.diagnostics.min_ess, 1),
-                )
-            log_p = np.array(
-                [np.log10(min(max(r.estimate, _P_FLOOR), 1.0)) for r in results]
-            ).reshape(self.corner_grid.size, self.vsb_grid.size)
-            # Raising the source bias can only degrade the retention margin,
-            # so the true surface is monotone increasing in VSB; estimates
-            # below the Monte-Carlo resolution jitter around the floor, and
-            # a running max restores the invariant the bisection policies
-            # (vsb_for_target, adaptive_vsb) rely on.
-            log_p = np.maximum.accumulate(log_p, axis=1)
-            return [[float(v) for v in row] for row in log_p], self.diagnostics
-
-        log_p, self.diagnostics = cached_surface(
-            ctx.result_cache, "hold-table", key, build, "hold_table",
-            _log, "hold_table.build.cached",
-            corners=self.corner_grid.size, vsb_levels=self.vsb_grid.size,
+        log_p, self.diagnostics = build_surface(
+            HOLD_SURFACE,
+            analyzer.surface_key(
+                corner_grid=[float(x) for x in self.corner_grid],
+                vsb_grid=[float(x) for x in self.vsb_grid],
+            ),
+            [
+                (ProcessCorner(float(dvt)), ctx.asb_conditions(float(vsb)))
+                for dvt in self.corner_grid
+                for vsb in self.vsb_grid
+            ],
+            analyzer.hold_failure_probability_batch,
+            finish,
+            scope="hold_table",
+            start=dict(
+                corners=shape[0], vsb_levels=shape[1], points=shape[0] * shape[1]
+            ),
+            cached=dict(corners=shape[0], vsb_levels=shape[1]),
+            executor=ctx.executor,
+            cache=ctx.result_cache,
+            checkpoint=ctx.checkpoint_store,
         )
         return np.array(log_p, dtype=float)
 

@@ -14,6 +14,7 @@ estimates consistent (the union is never smaller than a component).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -33,7 +34,7 @@ from repro.sram.metrics import (
     compute_hold_margin,
 )
 from repro.stats.montecarlo import MonteCarloResult, probability_of
-from repro.stats.rare_event import SAMPLER_NAMES, make_sampler
+from repro.stats.rare_event import SAMPLER_NAMES, fails_from_margins, make_sampler
 from repro.stats.sampling import importance_sample_dvt
 from repro.technology.corners import ProcessCorner
 from repro.technology.parameters import TechnologyParameters
@@ -93,7 +94,8 @@ class _Problem:
 
     :meth:`margins` goes through :func:`rendezvous.solve`, so inside a
     batch call the rows of every estimate at the same bias point are
-    solved together; the corner travels as a per-row shift.
+    solved together; the corner travels as a per-row shift.  The legacy
+    path solves its own cells and classifies them by :meth:`cell_margins`.
     """
 
     dims = len(TRANSISTORS)
@@ -119,23 +121,25 @@ class _Problem:
         """Margins of the rows; depends on the analyzer and bias only."""
         return _chunked(shift, z, self._evaluate, self.mechanisms)
 
+    def _evaluate(self, shift, z) -> dict[str, np.ndarray]:
+        return self.cell_margins(_cell(self._analyzer, shift, z))
+
 
 class _CellProblem(_Problem):
     """The four-mechanism cell margins.
 
     Margins replicate the :class:`FailureCriteria` predicates exactly
-    (``margin < 0`` iff the predicate fires), so the strategy samplers
-    classify identically to the legacy path.
+    (``margin < 0`` iff the predicate fires, for every write time the
+    solver returns: finite or ``+inf``, never NaN).
     """
 
     mechanisms = MECHANISMS
+    #: The estimates one point reports, in order.
+    outcomes = MECHANISMS + ("any",)
 
-    def _evaluate(self, shift, z) -> dict[str, np.ndarray]:
-        analyzer = self._analyzer
-        metrics = compute_cell_metrics(
-            _cell(analyzer, shift, z), self._conditions
-        )
-        criteria = analyzer.criteria
+    def cell_margins(self, cell: SixTCell) -> dict[str, np.ndarray]:
+        metrics = compute_cell_metrics(cell, self._conditions)
+        criteria = self._analyzer.criteria
         t_write = np.where(np.isfinite(metrics.t_write), metrics.t_write, 1e6)
         return {
             "read": metrics.read_margin - criteria.delta_read,
@@ -152,10 +156,11 @@ class _HoldProblem(_Problem):
     """The hold margin alone (the ASB surface's hot path)."""
 
     mechanisms = ("hold",)
+    outcomes = ("hold",)
 
-    def _evaluate(self, shift, z) -> dict[str, np.ndarray]:
+    def cell_margins(self, cell: SixTCell) -> dict[str, np.ndarray]:
         conditions = self._conditions
-        margin = compute_hold_margin(_cell(self._analyzer, shift, z), conditions)
+        margin = compute_hold_margin(cell, conditions)
         rail = conditions.vdd_standby - conditions.vsb
         return {"hold": margin - self._analyzer.criteria.hold_fraction_min * rail}
 
@@ -165,22 +170,15 @@ class _HoldProblem(_Problem):
         return {}
 
 
-def _failure_point(task) -> "FailureProbabilities":
-    """Worker entry point: one full failure estimate (picklable)."""
-    analyzer, corner, conditions = task
-    return analyzer.failure_probabilities(corner, conditions)
+def _point(task):
+    """Worker entry point: one estimate by the named method (picklable)."""
+    method, analyzer, corner, conditions = task
+    return getattr(analyzer, method)(corner, conditions)
 
 
-def _hold_point(task) -> MonteCarloResult:
-    """Worker entry point: one hold-only estimate (picklable)."""
-    analyzer, corner, conditions = task
-    return analyzer.hold_failure_probability(corner, conditions)
-
-
-def _coalesced(task) -> list:
+def _coalesced(tasks: list) -> list:
     """A group of points as one rendezvous (picklable executor task)."""
-    point, tasks = task
-    return rendezvous.run([functools.partial(point, t) for t in tasks])
+    return rendezvous.run([functools.partial(_point, t) for t in tasks])
 
 
 def _rendezvous_width(n_samples: int) -> int:
@@ -284,9 +282,19 @@ class CellFailureAnalyzer:
             or (self.sampler == "scaled" and self.scale is not None)
         )
 
-    def sampler_fingerprint(self) -> dict:
-        """The sampling-strategy part of cache fingerprints."""
-        return {"sampler": self.sampler, "scale": self.scale}
+    def surface_key(self, **grid) -> dict:
+        """Cache key payload of a grid of estimates: every input besides
+        each point's own (corner, bias), plus the ``grid`` fields."""
+        return {
+            "technology": dataclasses.asdict(self.tech),
+            "criteria": dataclasses.asdict(self.criteria),
+            "geometry": dataclasses.asdict(self.geometry),
+            "n_samples": self.n_samples,
+            "scale": self.scale,
+            "sampler": self.sampler,
+            "seed": self.seed,
+            **grid,
+        }
 
     def _direction_seeds(
         self, conditions: OperatingConditions
@@ -340,10 +348,42 @@ class CellFailureAnalyzer:
             ]
         )
 
-    def _rng_for(
-        self, corner: ProcessCorner, conditions: OperatingConditions
-    ) -> np.random.Generator:
-        return np.random.default_rng(self._seed_for(corner, conditions))
+    def _estimate(
+        self,
+        problem: _Problem,
+        corner: ProcessCorner,
+        conditions: OperatingConditions,
+    ) -> dict[str, MonteCarloResult]:
+        """The estimates of ``problem.outcomes`` at one (corner, bias):
+        the strategy sampler's, or the historical single-stage draw's
+        (:attr:`_legacy_path`), classified by the problem's margins."""
+        seed = self._seed_for(corner, conditions)
+        if self._legacy_path:
+            rng = np.random.default_rng(seed)
+            scale = 1.0 if self.sampler == "plain" else self.scale
+            with trace("sample"):
+                sample = importance_sample_dvt(
+                    self.tech, self.geometry, rng, self.n_samples, scale
+                )
+            with trace("solve"):
+                margins = problem.cell_margins(
+                    SixTCell(self.tech, self.geometry, corner, sample.dvt)
+                )
+            fails = fails_from_margins(margins, problem.mechanisms)
+            weights, n_solved = sample.weights, sample.n_samples
+        else:
+            out = make_sampler(self.sampler, self.scale).sample(
+                problem, seed, self.n_samples
+            )
+            fails, weights, n_solved = out.fails, out.weights, out.n_solved
+        observe("analysis.solver_calls", n_solved)
+        results = {
+            name: probability_of(fails[name], weights)
+            for name in problem.outcomes
+        }
+        for name, result in results.items():
+            diagnostics.record(f"analysis.{name}", result)
+        return results
 
     def failure_probabilities(
         self,
@@ -359,49 +399,11 @@ class CellFailureAnalyzer:
         """
         conditions = conditions if conditions is not None else self.conditions
         with trace("analysis.point"):
-            if not self._legacy_path:
-                problem = _CellProblem(self, corner, conditions)
-                strategy = make_sampler(self.sampler, self.scale)
-                out = strategy.sample(
-                    problem, self._seed_for(corner, conditions), self.n_samples
+            return FailureProbabilities(
+                **self._estimate(
+                    _CellProblem(self, corner, conditions), corner, conditions
                 )
-                observe("analysis.solver_calls", out.n_solved)
-                results = {
-                    name: probability_of(out.fails[name], out.weights)
-                    for name in MECHANISMS + ("any",)
-                }
-                for name, result in results.items():
-                    diagnostics.record(f"analysis.{name}", result)
-                return FailureProbabilities(**results)
-            rng = self._rng_for(corner, conditions)
-            scale = 1.0 if self.sampler == "plain" else self.scale
-            with trace("sample"):
-                sample = importance_sample_dvt(
-                    self.tech, self.geometry, rng, self.n_samples, scale
-                )
-            with trace("solve"):
-                cell = SixTCell(self.tech, self.geometry, corner, sample.dvt)
-                metrics = compute_cell_metrics(cell, conditions)
-            fails = {}
-            for name, predicate in (
-                ("read", self.criteria.read_fails),
-                ("write", self.criteria.write_fails),
-                ("access", self.criteria.access_fails),
-                ("hold", self.criteria.hold_fails),
-            ):
-                with trace(f"classify.{name}"):
-                    fails[name] = predicate(metrics)
-            fails["any"] = (
-                fails["read"] | fails["write"] | fails["access"] | fails["hold"]
             )
-            observe("analysis.solver_calls", sample.n_samples)
-            results = {
-                name: probability_of(indicator, sample.weights)
-                for name, indicator in fails.items()
-            }
-            for name, result in results.items():
-                diagnostics.record(f"analysis.{name}", result)
-            return FailureProbabilities(**results)
 
     def failure_probabilities_batch(
         self,
@@ -428,17 +430,17 @@ class CellFailureAnalyzer:
         then every main stage.  A serial executor runs each group as
         one task; a pool runs one task per point.
         """
-        tasks = self._tasks(corners, conditions_list)
+        tasks = self._tasks("failure_probabilities", corners, conditions_list)
         if self.sampler == "adaptive-is":
             # Warm the MPFP seed memo for every distinct bias point
             # *before* fan-out: the seeds ride to the workers inside
             # the pickled analyzer, so the (one-off) FORM search runs
             # once per table build instead of once per worker.
-            for _, _, conditions in tasks:
+            for *_, conditions in tasks:
                 self._direction_seeds(
                     conditions if conditions is not None else self.conditions
                 )
-        return self._map(_failure_point, tasks, executor)
+        return self._map(tasks, executor)
 
     def hold_failure_probability_batch(
         self,
@@ -453,10 +455,11 @@ class CellFailureAnalyzer:
         the ASB (corner, VSB) surface build.
         """
         return self._map(
-            _hold_point, self._tasks(corners, conditions_list), executor
+            self._tasks("hold_failure_probability", corners, conditions_list),
+            executor,
         )
 
-    def _tasks(self, corners, conditions_list) -> list[tuple]:
+    def _tasks(self, method: str, corners, conditions_list) -> list[tuple]:
         if conditions_list is None:
             conditions_list = [None] * len(corners)
         if len(conditions_list) != len(corners):
@@ -465,23 +468,22 @@ class CellFailureAnalyzer:
                 f"for {len(corners)} corners"
             )
         return [
-            (self, corner, conditions)
+            (method, self, corner, conditions)
             for corner, conditions in zip(corners, conditions_list)
         ]
 
-    def _map(self, point, tasks: list, executor) -> list:
-        """``point`` over ``tasks``: inline in row-limited rendezvous
+    def _map(self, tasks: list, executor) -> list:
+        """The estimates of ``tasks``: inline in row-limited rendezvous
         groups, else pointwise (the legacy path, a pool, or estimates
         of a solver chunk each)."""
         width = _rendezvous_width(self.n_samples)
         inline = executor is None or executor.is_serial
         if self._legacy_path or width == 1 or not inline:
             if executor is None:
-                return [point(task) for task in tasks]
-            return executor.map(point, tasks)
+                return [_point(task) for task in tasks]
+            return executor.map(_point, tasks)
         groups = [
-            (point, tasks[start: start + width])
-            for start in range(0, len(tasks), width)
+            tasks[start: start + width] for start in range(0, len(tasks), width)
         ]
         if executor is None:
             parts = [_coalesced(group) for group in groups]
@@ -497,28 +499,5 @@ class CellFailureAnalyzer:
         """Hold-mechanism probability only (hot path for ASB sweeps)."""
         conditions = conditions if conditions is not None else self.conditions
         with trace("analysis.hold_point"):
-            if not self._legacy_path:
-                problem = _HoldProblem(self, corner, conditions)
-                strategy = make_sampler(self.sampler, self.scale)
-                out = strategy.sample(
-                    problem, self._seed_for(corner, conditions), self.n_samples
-                )
-                observe("analysis.solver_calls", out.n_solved)
-                result = probability_of(out.fails["hold"], out.weights)
-                diagnostics.record("analysis.hold", result)
-                return result
-            rng = self._rng_for(corner, conditions)
-            scale = 1.0 if self.sampler == "plain" else self.scale
-            with trace("sample"):
-                sample = importance_sample_dvt(
-                    self.tech, self.geometry, rng, self.n_samples, scale
-                )
-            with trace("solve"):
-                cell = SixTCell(self.tech, self.geometry, corner, sample.dvt)
-                margin = compute_hold_margin(cell, conditions)
-            rail = conditions.vdd_standby - conditions.vsb
-            threshold = self.criteria.hold_fraction_min * rail
-            observe("analysis.solver_calls", sample.n_samples)
-            result = probability_of(margin < threshold, sample.weights)
-            diagnostics.record("analysis.hold", result)
-            return result
+            problem = _HoldProblem(self, corner, conditions)
+            return self._estimate(problem, corner, conditions)["hold"]

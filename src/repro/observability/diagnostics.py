@@ -477,7 +477,7 @@ def record(scope: str, result) -> None:
         _state.scope_var.get().recorder.record(scope, result)
 
 
-def record_batch(scope: str, batch: BatchDiagnostics | None) -> None:
+def record_batch(scope: str, batch: BatchDiagnostics) -> None:
     """Record a stored batch summary — no-op while collection is off."""
-    if _state.enabled and batch is not None:
+    if _state.enabled:
         _state.scope_var.get().recorder.record_batch(scope, batch)

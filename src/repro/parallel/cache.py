@@ -23,8 +23,6 @@ import json
 import pathlib
 
 from repro import durable
-from repro.observability import diagnostics
-from repro.observability.diagnostics import BatchDiagnostics
 from repro.observability.log import get_logger
 from repro.observability.metrics import incr
 
@@ -115,34 +113,6 @@ class ResultCache(durable.SealedDir):
             "value": value,
         }
         return durable.write_sealed(self._path(kind, key), payload)
-
-
-def cached_surface(cache, kind, key, build, scope, log, event, **fields):
-    """``(log10_probability, diagnostics)`` for ``key``: stored, or built.
-
-    ``build()`` returns the JSON-ready ``log10_probability`` and its
-    :class:`BatchDiagnostics`; a miss stores both under ``(kind, key)``.
-    A hit skips the build, re-records the stored health under the
-    diagnostics ``scope`` (so a warm run's verdict matches the cold
-    run's) and logs ``event`` with ``fields`` on ``log``; its
-    diagnostics are ``None`` only for entries older than them.
-    """
-    if cache is not None:
-        stored = cache.get(kind, key)
-        if stored is not None:
-            batch = stored.get("diagnostics")
-            batch = None if batch is None else BatchDiagnostics.from_dict(batch)
-            diagnostics.record_batch(scope, batch)
-            log.info(event, **fields)
-            return stored["log10_probability"], batch
-    log10_probability, batch = build()
-    if cache is not None:
-        cache.put(
-            kind,
-            key,
-            {"log10_probability": log10_probability, "diagnostics": batch.as_dict()},
-        )
-    return log10_probability, batch
 
 
 def _roundtrip(payload: dict) -> dict:

@@ -177,11 +177,7 @@ def run_spec(
                         ]
                         for name in MECHANISMS + ("any",)
                     },
-                    "diagnostics": (
-                        dataclasses.asdict(table.diagnostics)
-                        if table.diagnostics is not None
-                        else None
-                    ),
+                    "diagnostics": dataclasses.asdict(table.diagnostics),
                 }
             )
         return {
@@ -209,11 +205,7 @@ def run_spec(
             ]
             for c in corner_grid
         ],
-        "diagnostics": (
-            dataclasses.asdict(table.diagnostics)
-            if table.diagnostics is not None
-            else None
-        ),
+        "diagnostics": dataclasses.asdict(table.diagnostics),
     }
 
 

@@ -265,9 +265,10 @@ def _pilot_size(budget: int) -> int:
     return max(min(budget // 3, 2048), min(64, budget))
 
 
-def _fails_from_margins(
+def fails_from_margins(
     margins: dict[str, np.ndarray], mechanisms: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
+    """``margin < 0`` per mechanism, plus the ``"any"`` union."""
     fails = {name: margins[name] < 0.0 for name in mechanisms}
     any_fail = np.zeros_like(next(iter(fails.values())), dtype=bool)
     for indicator in fails.values():
@@ -311,7 +312,7 @@ class PlainSampler:
             raise ValueError(f"budget must be >= 1, got {budget}")
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((budget, problem.dims))
-        fails = _fails_from_margins(problem.margins(z), problem.mechanisms)
+        fails = fails_from_margins(problem.margins(z), problem.mechanisms)
         sample = RareEventSample(
             weights=np.ones(budget),
             fails=fails,
@@ -357,7 +358,7 @@ class ScaledSampler:
             margins = problem.margins(z)
             sample = RareEventSample(
                 weights=balance_heuristic_weights([(proposal, z)]),
-                fails=_fails_from_margins(margins, problem.mechanisms),
+                fails=fails_from_margins(margins, problem.mechanisms),
                 n_drawn=budget,
                 n_solved=budget,
                 info={"scale": self.scale},
@@ -368,7 +369,7 @@ class ScaledSampler:
         explore = GaussianMixture.centered(d, _EXPLORE_SCALE)
         z_pilot = explore.sample(rng, n_pilot)
         pilot_margins = problem.margins(z_pilot)
-        pilot_fails = _fails_from_margins(pilot_margins, problem.mechanisms)
+        pilot_fails = fails_from_margins(pilot_margins, problem.mechanisms)
         w_pilot = np.exp(
             standard_normal_logpdf(z_pilot) - explore.logpdf(z_pilot)
         )
@@ -387,7 +388,7 @@ class ScaledSampler:
         pooled = _pool_margins(margin_parts, problem.mechanisms)
         sample = RareEventSample(
             weights=per_stage_weights(stages),
-            fails=_fails_from_margins(pooled, problem.mechanisms),
+            fails=fails_from_margins(pooled, problem.mechanisms),
             n_drawn=budget,
             n_solved=budget,
             info={"tuned_scale": scale, "pilot_p_any": p_hat},
@@ -477,7 +478,7 @@ class AdaptiveIsSampler:
         explore = GaussianMixture.centered(d, self.explore_scale)
         z_pilot = explore.sample(rng, n_pilot)
         pilot_margins = problem.margins(z_pilot)
-        pilot_fails = _fails_from_margins(pilot_margins, problem.mechanisms)
+        pilot_fails = fails_from_margins(pilot_margins, problem.mechanisms)
         w_pilot = np.exp(
             standard_normal_logpdf(z_pilot) - explore.logpdf(z_pilot)
         )
@@ -511,7 +512,7 @@ class AdaptiveIsSampler:
         pooled = _pool_margins(margin_parts, problem.mechanisms)
         sample = RareEventSample(
             weights=per_stage_weights(stages),
-            fails=_fails_from_margins(pooled, problem.mechanisms),
+            fails=fails_from_margins(pooled, problem.mechanisms),
             n_drawn=budget,
             n_solved=budget,
             info={
@@ -577,7 +578,7 @@ class BlockadeSampler:
         if solve_budget <= 0 or n_pilot <= d + 2:
             sample = RareEventSample(
                 weights=balance_heuristic_weights([(proposal, z_pilot)]),
-                fails=_fails_from_margins(
+                fails=fails_from_margins(
                     pilot_margins, problem.mechanisms
                 ),
                 n_drawn=n_pilot,
@@ -628,7 +629,7 @@ class BlockadeSampler:
         n_drawn = n_pilot + n_draw
         sample = RareEventSample(
             weights=balance_heuristic_weights(stages),
-            fails=_fails_from_margins(pooled, problem.mechanisms),
+            fails=fails_from_margins(pooled, problem.mechanisms),
             n_drawn=n_drawn,
             n_solved=n_pilot + solved,
             info={

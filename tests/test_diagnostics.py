@@ -331,7 +331,6 @@ class TestRecorder:
         diag.record_batch("off", batch)
         assert diag.recorder.snapshot()["scopes"] == {}
         observability.enable()
-        diag.record_batch("on", None)  # None batch is also a no-op
         diag.record_batch("on", batch)
         assert diag.recorder.snapshot()["scopes"]["on"]["n_estimates"] == 1
 

@@ -8,12 +8,17 @@ entries, and the crash-then-retry bit-identity property.
 """
 
 import dataclasses
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from repro import observability
+from repro.core.tables import FailureProbabilityTable
+from repro.experiments.asb import HoldProbabilityTable
 from repro.experiments.context import ExperimentContext
+from repro.failures.analysis import CellFailureAnalyzer
+from repro.failures.criteria import FailureCriteria
 from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import (
     ParallelExecutor,
@@ -25,6 +30,7 @@ from repro.parallel import (
     spawn_seeds,
 )
 from repro.technology.corners import ProcessCorner
+from repro.technology.parameters import predictive_70nm
 
 #: Cheap context parameters shared by every cache/determinism test.
 CTX_PARAMS = dict(
@@ -320,22 +326,64 @@ class TestSweepDeterminism:
             assert serial.table().probability(dvt) == parallel.table().probability(dvt)
 
 
+#: Probe corners [V] of the surface equality checks.
+PROBES = (-0.07, -0.02, 0.0, 0.05, 0.07)
+
+
+class SurfaceCase(NamedTuple):
+    """One of the two estimate grids, as the build tests drive it."""
+
+    build: Callable  # context -> surface
+    values: Callable  # surface -> its probabilities at fixed probes
+    batch: str  # the analyzer batch method the build calls
+
+
+SURFACES = [
+    pytest.param(
+        SurfaceCase(
+            lambda ctx: ctx.table(0.0),
+            lambda table: [
+                table.probability(dvt, mechanism)
+                for dvt in PROBES
+                for mechanism in ("read", "write", "access", "hold", "any")
+            ],
+            "failure_probabilities_batch",
+        ),
+        id="failure-table",
+    ),
+    pytest.param(
+        SurfaceCase(
+            lambda ctx: HoldProbabilityTable(
+                ctx,
+                corner_grid=np.linspace(-0.08, 0.08, 3),
+                vsb_grid=np.array([0.0, 0.3, 0.5]),
+            ),
+            lambda table: [
+                table.probability(dvt, vsb)
+                for dvt in PROBES
+                for vsb in (0.0, 0.2, 0.45)
+            ],
+            "hold_failure_probability_batch",
+        ),
+        id="hold-surface",
+    ),
+]
+
+
+@pytest.mark.parametrize("surface", SURFACES)
 class TestCheckpointedBuilds:
-    def test_checkpointed_table_matches_plain(self, tmp_path):
-        plain = ExperimentContext(**CTX_PARAMS).table(0.0)
+    def test_checkpointed_table_matches_plain(self, surface, tmp_path):
+        plain = surface.build(ExperimentContext(**CTX_PARAMS))
         ctx = ExperimentContext(
             **CTX_PARAMS, checkpoint_dir=tmp_path, checkpoint_every=2
         )
-        table = ctx.table(0.0)
-        for dvt in (-0.07, 0.0, 0.07):
-            for mechanism in ("read", "write", "access", "hold", "any"):
-                assert table.probability(dvt, mechanism) == plain.probability(
-                    dvt, mechanism
-                )
+        assert surface.values(surface.build(ctx)) == surface.values(plain)
         # Build completed: the checkpoint was cleared.
         assert not list(tmp_path.glob("*.ckpt.json"))
 
-    def test_partial_checkpoint_resumes_without_recompute(self, tmp_path):
+    def test_partial_checkpoint_resumes_without_recompute(
+        self, surface, tmp_path
+    ):
         # Build once with clearing disabled so the finished checkpoint
         # survives, then rebuild: every cell must come from the file.
         ctx = ExperimentContext(
@@ -343,7 +391,8 @@ class TestCheckpointedBuilds:
         )
         store = ctx.checkpoint_store
         store.clear = lambda *a, **k: None
-        reference = ctx.table(0.0)
+        reference = surface.build(ctx)
+        assert list(tmp_path.glob("*.ckpt.json"))
 
         resumed_ctx = ExperimentContext(
             **CTX_PARAMS, checkpoint_dir=tmp_path, checkpoint_every=2
@@ -356,29 +405,26 @@ class TestCheckpointedBuilds:
 
         def patched_analyzer(*args, **kwargs):
             analyzer = analyzer_factory(*args, **kwargs)
-            analyzer.failure_probabilities_batch = boom
+            setattr(analyzer, surface.batch, boom)
             return analyzer
 
         resumed_ctx.analyzer = patched_analyzer
-        resumed = resumed_ctx.table(0.0)
-        for dvt in (-0.07, 0.0, 0.07):
-            assert resumed.probability(dvt) == reference.probability(dvt)
+        resumed = surface.build(resumed_ctx)
+        assert surface.values(resumed) == surface.values(reference)
 
 
 class TestDiskCache:
-    def test_warm_table_equals_cold(self, tmp_path):
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_warm_table_equals_cold(self, surface, tmp_path):
         cold = ExperimentContext(**CTX_PARAMS, cache_dir=tmp_path)
-        cold_table = cold.table(0.0)
+        cold_table = surface.build(cold)
         assert cold.result_cache.hits == 0
 
         warm = ExperimentContext(**CTX_PARAMS, cache_dir=tmp_path)
-        warm_table = warm.table(0.0)
-        assert warm.result_cache.hits >= 2  # criteria + table
-        for dvt in (-0.07, -0.02, 0.0, 0.05):
-            for mechanism in ("read", "write", "access", "hold", "any"):
-                assert warm_table.probability(dvt, mechanism) == cold_table.probability(
-                    dvt, mechanism
-                )
+        warm_table = surface.build(warm)
+        assert warm.result_cache.hits >= 2  # criteria + surface
+        assert warm_table.diagnostics == cold_table.diagnostics
+        assert surface.values(warm_table) == surface.values(cold_table)
 
     def test_technology_change_invalidates(self, tmp_path):
         base = ExperimentContext(**CTX_PARAMS, cache_dir=tmp_path)
@@ -488,3 +534,39 @@ class TestAdaptiveSweepCache:
         for cold_t, warm_t in zip(cold_tables, warm_tables):
             for probe in self.PROBES:
                 assert warm_t.probability(probe) == cold_t.probability(probe)
+
+
+class TestSurfaceFingerprints:
+    """The cache file names of both surfaces, pinned.
+
+    Built from literal criteria (no calibration), so only literal
+    inputs enter the keys: a change to how a key is composed renames
+    the file, and every cache written before it would miss.
+    """
+
+    CRITERIA = FailureCriteria(
+        delta_read=0.05, t_write_max=2e-10, i_access_min=2e-5,
+        hold_fraction_min=0.9,
+    )
+
+    def test_failure_table_file_name(self, tmp_path):
+        analyzer = CellFailureAnalyzer(
+            predictive_70nm(), self.CRITERIA, n_samples=200, seed=7
+        )
+        FailureProbabilityTable(
+            analyzer, n_grid=4, cache=ResultCache(tmp_path)
+        )
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "failure-table-397d7349e625e390cf4d188d.json"
+        ]
+
+    def test_hold_surface_file_name(self, tmp_path):
+        ctx = ExperimentContext(analysis_samples=200, seed=7, cache_dir=tmp_path)
+        ctx._criteria = self.CRITERIA  # literal: nothing is calibrated
+        HoldProbabilityTable(
+            ctx, corner_grid=np.array([-0.05, 0.05]),
+            vsb_grid=np.array([0.0, 0.4]),
+        )
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "hold-table-4e19abdd0f982c75df9ca40b.json"
+        ]

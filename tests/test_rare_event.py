@@ -378,10 +378,8 @@ class TestAnalyzerIntegration:
         analyzer = CellFailureAnalyzer(
             tech, fast_criteria, scale=None, sampler="adaptive-is"
         )
-        assert analyzer.sampler_fingerprint() == {
-            "sampler": "adaptive-is",
-            "scale": None,
-        }
+        key = analyzer.surface_key()
+        assert (key["sampler"], key["scale"]) == ("adaptive-is", None)
 
     def test_autotune_emits_scale_gauge(self, tech, fast_criteria):
         observability.configure(metrics=True)

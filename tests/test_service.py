@@ -10,6 +10,7 @@ subprocess through SIGKILL and checkpoint resume.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -1840,7 +1841,13 @@ class TestConcurrentJobs:
         )
         table = ctx.table(spec_a["vbody_levels"][0])
         corrupt_path = ctx.checkpoint_store.path(
-            "failure-table", cache_fingerprint(table._cache_key())
+            "failure-table",
+            cache_fingerprint(
+                table.analyzer.surface_key(
+                    conditions=dataclasses.asdict(table.conditions),
+                    grid=[float(x) for x in table.grid],
+                )
+            ),
         )
         corrupt_path.write_text("{ torn checkpoint")
 
